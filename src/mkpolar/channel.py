@@ -1,8 +1,9 @@
 """BPSK over AWGN: modulation, LLR computation, Monte-Carlo FER/BER estimation.
 
-Every frame draws its message and noise from an RNG keyed on
-(seed, snr index, frame index), so results are identical no matter how frames
-are batched or spread across workers.
+Frames are drawn in fixed blocks of BLOCK_FRAMES: frame f of SNR point p takes
+its message and noise from the RNG keyed on (seed, p, f // BLOCK_FRAMES), which
+draws the block's messages, then its noise. Results are therefore identical no
+matter how frames are batched or spread across workers.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,10 @@ from .kernels import stage_transform
 from .sc import SCDecoder
 
 DECODER_KINDS = ("sc", "fastssc")
+
+# Frames per RNG key. One generator per frame cost more than decoding at small
+# N; a block of 64 amortises its construction. Changing this changes the stream.
+BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -108,18 +113,19 @@ def _make_decoder(kind, spec, limits):
     raise ValueError(f"unknown decoder kind {kind!r}; expected one of {DECODER_KINDS}")
 
 
-def _frame_rng(seed, point_index, frame_index):
-    return np.random.default_rng([seed, point_index, frame_index])
-
-
 def _simulate_chunk(spec, decoder, sigma2, seed, point_index, start, count):
     n, k = spec.n_bits, spec.k_bits
     msgs = np.empty((count, k), dtype=np.uint8)
     noise = np.empty((count, n))
-    for j in range(count):
-        rng = _frame_rng(seed, point_index, start + j)
-        msgs[j] = rng.integers(0, 2, size=k, dtype=np.uint8)
-        noise[j] = rng.standard_normal(n)
+    end = start + count
+    for block in range(start // BLOCK_FRAMES, -(-end // BLOCK_FRAMES)):
+        rng = np.random.default_rng([seed, point_index, block])
+        first = block * BLOCK_FRAMES
+        lo, hi = max(start, first), min(end, first + BLOCK_FRAMES)
+        # rows of the chunk, and of the block, that this block fills
+        rows, taken = slice(lo - start, hi - start), slice(lo - first, hi - first)
+        msgs[rows] = rng.integers(0, 2, size=(BLOCK_FRAMES, k), dtype=np.uint8)[taken]
+        noise[rows] = rng.standard_normal((BLOCK_FRAMES, n))[taken]
     u = expand_message(msgs, spec)
     x = stage_transform(u, spec.kernels)
     llr = 2.0 * (modulate(x) + np.sqrt(sigma2) * noise) / sigma2
@@ -145,8 +151,10 @@ def run_fer(
 
     By default the frozen set is redesigned by GA at each operating point;
     pass redesign_per_snr=False to keep the frozen set of `spec` throughout.
-    Random messages are used rather than the all-zero codeword. Results are
-    reproducible for a given (seed, spec, snrs, stop) independent of workers.
+    Random messages are used rather than the all-zero codeword, drawn with
+    their noise from an RNG keyed on (seed, SNR point index, 64-frame block
+    index). Results are reproducible for a given (seed, spec, snrs, stop),
+    independent of workers and batch_size.
     """
     if not 0 < spec.k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")

@@ -14,8 +14,12 @@ from .kernels import validate_kernel_vector
 
 
 def f_op(l0, l1):
-    """Min-sum box-plus: sign(l0) sign(l1) min(|l0|, |l1|)."""
-    return np.sign(l0) * np.sign(l1) * np.minimum(np.abs(l0), np.abs(l1))
+    """Min-sum box-plus: sign(l0) sign(l1) min(|l0|, |l1|).
+
+    The sign comes from l0 * (+-1), which is exact, so no input overflows or
+    raises an invalid-value warning as l0 * l1 would at 1e308 or inf * 0.
+    """
+    return np.copysign(np.minimum(np.abs(l0), np.abs(l1)), l0 * np.copysign(1.0, l1))
 
 
 def g_op(l0, l1, u0):

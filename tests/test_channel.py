@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,34 @@ class TestRunFer:
         a = run_fer(spec96, workers=1, **kw)
         b = run_fer(spec96, workers=3, **kw)
         assert [p.__dict__ for p in a.points] == [p.__dict__ for p in b.points]
+
+    def test_reproducible_across_batch_sizes(self, spec96):
+        # 1000 frames is no multiple of the 64-frame RNG block, and batches of
+        # 37 or 100 (with workers) cut blocks mid-way.
+        stop = StopRule(max_frames=1000, min_frame_errors=10_000)
+        kw = dict(decoder="fastssc", snrs=(2.0, 3.0), stop=stop, seed=8)
+        runs = [run_fer(spec96, batch_size=b, **kw) for b in (1, 37, 64, 1000)]
+        runs.append(run_fer(spec96, batch_size=100, workers=3, **kw))
+        points = [[p.__dict__ for p in stats.points] for stats in runs]
+        assert points[0][0]["frames"] == 1000
+        assert all(p == points[0] for p in points[1:])
+
+    def test_fer_matches_per_frame_stream(self, spec96):
+        # The per-frame RNG stream that preceded the 64-frame blocks gave
+        # 16479 frame errors in 102400 frames on this code at 2.0 dB
+        # (the sim-short code, measured at commit 278965e). The block stream
+        # must agree within 4 combined binomial standard deviations.
+        old_errors, old_frames = 16479, 102400
+        stats = run_fer(
+            spec96, decoder="fastssc", snrs=(2.0,),
+            stop=StopRule(max_frames=51_200, min_frame_errors=10**6), seed=0,
+            redesign_per_snr=True,
+        )
+        point = stats.points[0]
+        assert point.frames == 51_200
+        old_fer = old_errors / old_frames
+        sd = math.sqrt(old_fer * (1 - old_fer) * (1 / old_frames + 1 / point.frames))
+        assert abs(point.fer - old_fer) <= 4 * sd
 
     def test_seed_changes_results(self, spec96):
         stop = StopRule(max_frames=1024, min_frame_errors=10_000)

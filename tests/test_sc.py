@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ class TestLlrOps:
         assert f_op(1.5, -2.0) == pytest.approx(-1.5)
         assert f_op(0.0, 5.0) == pytest.approx(0.0)
         assert f_op(3.0, 4.0) == pytest.approx(3.0)
+
+    def test_f_op_matches_sign_product_formula_at_extremes(self):
+        # The reference is the textbook sign(l0) sign(l1) min(|l0|, |l1|).
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([0.0, tiny, 1.5, 1e308, np.inf])
+        values = np.concatenate([values, -values])
+        l0, l1 = np.meshgrid(values, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = np.sign(l0) * np.sign(l1) * np.minimum(np.abs(l0), np.abs(l1))
+            got = f_op(l0, l1)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got <= 0, expected <= 0)
 
     def test_g_op(self):
         assert g_op(2.0, 3.0, 0) == pytest.approx(5.0)
