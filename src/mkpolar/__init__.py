@@ -18,7 +18,7 @@ from .construction import (
     phi_inv,
     select_frozen,
 )
-from .encoding import encode_matrix, encode_message, encode_recursive, expand_message
+from .encoding import encode_message, encode_recursive, expand_message
 from .fast_ssc import (
     FastSSCDecoder,
     NodeClass,
@@ -26,7 +26,6 @@ from .fast_ssc import (
     PrunedSchedule,
     build_schedule,
     classify_node,
-    decode_fast,
     decode_rate0,
     decode_rate1,
     decode_rep,
@@ -47,7 +46,6 @@ from .sc import (
     combine2,
     combine3,
     combine3_inv,
-    decode_sc,
     f_op,
     g_op,
     hard_decision,

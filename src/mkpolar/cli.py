@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,33 +63,6 @@ class CommandError(Exception):
     """Fatal usage or environment problem; message goes to stderr."""
 
 
-@dataclass
-class RunConfig:
-    """Normalized arguments of one CLI invocation."""
-
-    command: str
-    n_bits: int | None = None
-    k_bits: int | None = None
-    kernels: str | None = None
-    ordering: str = "last"
-    ebn0_db: float = 3.0
-    decoder: str = "sc"
-    limits: NodeLimits = field(default_factory=NodeLimits)
-    snrs: tuple = ()
-    stop: StopRule = field(default_factory=StopRule)
-    seed: int = 0
-    workers: int = 1
-    fixed_construction: bool = False
-    spec_path: str | None = None
-    message: str | None = None
-    llr_path: str | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    table2: bool = False
-    sweep_k: int | None = None
-    sweep_n: int | None = None
-
-
 def save_code_spec(spec, path):
     lines = [
         f"N {spec.n_bits}",
@@ -119,6 +91,13 @@ def load_code_spec(path):
         )
     except (KeyError, ValueError) as exc:
         raise CommandError(f"malformed code spec file {path}: {exc}") from exc
+    seen = set()
+    for i in frozen_idx:
+        if not 0 <= i < n:
+            raise CommandError(f"code spec file {path}: frozen index {i} is outside 0..{n - 1}")
+        if i in seen:
+            raise CommandError(f"code spec file {path}: frozen index {i} is listed twice")
+        seen.add(i)
     frozen = np.zeros(n, dtype=np.uint8)
     frozen[frozen_idx] = 1
     return CodeSpec(n_bits=n, k_bits=k, kernels=kernels, frozen=frozen)
@@ -151,26 +130,35 @@ def _default_outdir():
     return Path(os.environ.get("MKPOLAR_OUTDIR", "."))
 
 
-def _build_code(cfg):
-    if cfg.spec_path:
-        return load_code_spec(cfg.spec_path)
-    if cfg.kernels is not None:
-        if cfg.k_bits is None:
+def _build_code(args):
+    spec_path = getattr(args, "spec", None)  # construct and simulate have no --spec
+    if spec_path:
+        return load_code_spec(spec_path)
+    if args.kernels is not None:
+        if args.k is None:
             raise CommandError("--kernels also needs --k")
         try:
-            kv = tuple(int(x) for x in cfg.kernels.split(","))
-            return design_code(kv, cfg.k_bits, ebn0_db=cfg.ebn0_db)
+            kv = tuple(int(x) for x in args.kernels.split(","))
+            return design_code(kv, args.k, ebn0_db=args.ebn0)
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
-    if cfg.n_bits is None or cfg.k_bits is None:
+    if args.n is None or args.k is None:
         raise CommandError("either --spec, --kernels or both --n and --k are required")
-    if not 0 < cfg.k_bits < cfg.n_bits:
-        raise CommandError(f"need 0 < K < N, got K={cfg.k_bits}, N={cfg.n_bits}")
+    if not 0 < args.k < args.n:
+        raise CommandError(f"need 0 < K < N, got K={args.k}, N={args.n}")
     try:
-        factor_length(cfg.n_bits)
+        factor_length(args.n)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
-    return construct_code(cfg.n_bits, cfg.k_bits, ORDERINGS[cfg.ordering], ebn0_db=cfg.ebn0_db)
+    return construct_code(args.n, args.k, ORDERINGS[args.order], ebn0_db=args.ebn0)
+
+
+def _node_limits(args):
+    return NodeLimits(
+        rep3a_max_span=args.rep3a_max,
+        spc_max_span=0 if args.no_spc else None,
+        general_rep=args.general_rep,
+    )
 
 
 def _parse_bits(text, expect_len):
@@ -206,87 +194,89 @@ def parse_snr_range(text):
     return tuple(float(p) for p in text.split(","))
 
 
-def cmd_construct(cfg):
-    spec = _build_code(cfg)
-    outdir = Path(cfg.out) if cfg.out else _default_outdir()
+def cmd_construct(args):
+    spec = _build_code(args)
+    outdir = Path(args.out) if args.out else _default_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     label = analysis.ordering_label(spec.kernels)
     stem = f"pc_N{spec.n_bits}_K{spec.k_bits}_{label}"
     save_code_spec(spec, outdir / f"{stem}.spec")
-    z = ga_reliabilities(spec.kernels, spec.k_bits / spec.n_bits, cfg.ebn0_db)
+    z = ga_reliabilities(spec.kernels, spec.k_bits / spec.n_bits, args.ebn0)
     rows = [
         {"index": i, "ga_mean": float(z[i]), "frozen": int(spec.frozen[i])}
         for i in range(spec.n_bits)
     ]
-    emit_report(rows, ("index", "ga_mean", "frozen"), cfg.fmt, outdir / f"{stem}_reliability.{cfg.fmt}")
+    emit_report(rows, ("index", "ga_mean", "frozen"), args.fmt, outdir / f"{stem}_reliability.{args.fmt}")
     print(outdir / f"{stem}.spec")
     return 0
 
 
-def cmd_encode(cfg):
-    spec = _build_code(cfg)
-    if cfg.message is None:
+def cmd_encode(args):
+    spec = _build_code(args)
+    if args.message is None:
         raise CommandError("--message is required (use '-' to read from stdin)")
-    text = sys.stdin.readline() if cfg.message == "-" else cfg.message
+    text = sys.stdin.readline() if args.message == "-" else args.message
     msg = _parse_bits(text, spec.k_bits)
     print(_bits_to_str(encode_message(msg, spec)))
     return 0
 
 
-def cmd_decode(cfg):
-    spec = _build_code(cfg)
-    if cfg.llr_path is None:
+def cmd_decode(args):
+    spec = _build_code(args)
+    if args.llr_path is None:
         raise CommandError("--llrs FILE is required (use '-' for stdin)")
-    llr = _read_llrs(cfg.llr_path)
+    llr = _read_llrs(args.llr_path)
     if llr.shape != (spec.n_bits,):
         raise CommandError(f"expected {spec.n_bits} LLRs, got {llr.size}")
-    if cfg.decoder == "sc":
+    if args.decoder == "sc":
         u_hat, x_hat = SCDecoder(spec).decode(llr)
     else:
-        u_hat, x_hat = FastSSCDecoder(spec, limits=cfg.limits).decode(llr)
+        u_hat, x_hat = FastSSCDecoder(spec, limits=_node_limits(args)).decode(llr)
     print("u_hat " + _bits_to_str(u_hat))
     print("x_hat " + _bits_to_str(x_hat))
     print("info " + _bits_to_str(u_hat[spec.info_indices]))
     return 0
 
 
-def cmd_simulate(cfg):
-    spec = _build_code(cfg)
-    if not cfg.snrs:
+def cmd_simulate(args):
+    spec = _build_code(args)
+    snrs = parse_snr_range(args.snr) if args.snr else ()
+    if not snrs:
         raise CommandError("--snr is required, e.g. --snr 1:0.5:4")
     stats = run_fer(
         spec,
-        decoder=cfg.decoder,
-        snrs=cfg.snrs,
-        stop=cfg.stop,
-        workers=cfg.workers,
-        seed=cfg.seed,
-        limits=cfg.limits,
-        redesign_per_snr=not cfg.fixed_construction,
+        decoder=args.decoder,
+        snrs=snrs,
+        stop=StopRule(max_frames=args.max_frames, min_frame_errors=args.min_errors),
+        workers=args.workers,
+        seed=args.seed,
+        limits=_node_limits(args),
+        redesign_per_snr=not args.fixed_construction,
     )
-    emit_report(stats.rows(), FER_FIELDS, cfg.fmt, cfg.out)
+    emit_report(stats.rows(), FER_FIELDS, args.fmt, args.out)
     return 0
 
 
-def cmd_analyze(cfg):
-    if cfg.table2:
-        rows = analysis.latency_table(analysis.table2_specs(cfg.ebn0_db), cfg.limits)
-    elif cfg.sweep_k is not None:
-        rows = analysis.sweep_fixed_k(cfg.sweep_k, ebn0_db=cfg.ebn0_db, limits=cfg.limits)
-    elif cfg.sweep_n is not None:
-        rows = analysis.sweep_fixed_n(cfg.sweep_n, ebn0_db=cfg.ebn0_db, limits=cfg.limits)
+def cmd_analyze(args):
+    limits = _node_limits(args)
+    if args.table2:
+        rows = analysis.latency_table(analysis.table2_specs(args.ebn0), limits)
+    elif args.sweep_k is not None:
+        rows = analysis.sweep_fixed_k(args.sweep_k, ebn0_db=args.ebn0, limits=limits)
+    elif args.sweep_n is not None:
+        rows = analysis.sweep_fixed_n(args.sweep_n, ebn0_db=args.ebn0, limits=limits)
     else:
         raise CommandError("analyze needs one of --table2, --sweep-k K, --sweep-n N")
-    emit_report(rows, ANALYSIS_FIELDS, cfg.fmt, cfg.out)
+    emit_report(rows, ANALYSIS_FIELDS, args.fmt, args.out)
     return 0
 
 
-def cmd_schedule_export(cfg):
-    spec = _build_code(cfg)
-    lines = build_schedule(spec, cfg.limits).export_lines()
+def cmd_schedule_export(args):
+    spec = _build_code(args)
+    lines = build_schedule(spec, _node_limits(args)).export_lines()
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -302,15 +292,15 @@ COMMANDS = {
 }
 
 
-def run_command(cfg):
-    """Dispatch a RunConfig; returns the process exit status."""
+def run_command(args):
+    """Dispatch parsed arguments to their command; returns the process exit status."""
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (CommandError, ValueError) as exc:
-        print(f"mkpolar {cfg.command}: {exc}", file=sys.stderr)
+        print(f"mkpolar {args.command}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"mkpolar {cfg.command}: {exc}", file=sys.stderr)
+        print(f"mkpolar {args.command}: {exc}", file=sys.stderr)
         return 1
 
 
@@ -327,7 +317,7 @@ def _add_code_args(p, with_spec=False):
 def _add_limit_args(p):
     p.add_argument("--rep3a-max", type=int, default=27, choices=(3, 9, 27))
     p.add_argument("--no-spc", action="store_true", help="disable SPC nodes")
-    p.add_argument("--general-rep", action="store_true", help="mask-based REP for any kernel mix")
+    p.add_argument("--general-rep", action="store_true", help="recognize REP nodes for any kernel mix")
 
 
 def _add_report_args(p):
@@ -388,47 +378,8 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    limits = NodeLimits(
-        rep3a_max_span=getattr(args, "rep3a_max", 27),
-        spc_max_span=0 if getattr(args, "no_spc", False) else None,
-        general_rep=getattr(args, "general_rep", False),
-    )
-    cfg = RunConfig(command=args.command, limits=limits)
-    cfg.n_bits = getattr(args, "n", None)
-    cfg.k_bits = getattr(args, "k", None)
-    cfg.kernels = getattr(args, "kernels", None)
-    cfg.ordering = getattr(args, "order", "last")
-    cfg.ebn0_db = getattr(args, "ebn0", 3.0)
-    cfg.decoder = getattr(args, "decoder", "sc")
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.workers = getattr(args, "workers", 1)
-    cfg.fixed_construction = getattr(args, "fixed_construction", False)
-    cfg.spec_path = getattr(args, "spec", None)
-    cfg.message = getattr(args, "message", None)
-    cfg.llr_path = getattr(args, "llr_path", None)
-    cfg.out = getattr(args, "out", None)
-    cfg.fmt = getattr(args, "fmt", "csv")
-    cfg.table2 = getattr(args, "table2", False)
-    cfg.sweep_k = getattr(args, "sweep_k", None)
-    cfg.sweep_n = getattr(args, "sweep_n", None)
-    if getattr(args, "snr", None):
-        cfg.snrs = parse_snr_range(args.snr)
-    cfg.stop = StopRule(
-        max_frames=getattr(args, "max_frames", 1_000_000),
-        min_frame_errors=getattr(args, "min_errors", 100),
-    )
-    return cfg
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except CommandError as exc:
-        print(f"mkpolar: {exc}", file=sys.stderr)
-        return 2
-    return run_command(cfg)
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,12 @@
 """Message expansion and codeword encoding.
 
-Two encoders are provided: a direct GF(2) vector-matrix product against the
-full generator, and the stage-wise transform that costs O(N log N). They are
-interchangeable; the matrix form doubles as the test oracle for the fast one.
+Codewords come from the stage-wise transform, which costs O(N log N); the
+tests check it against the dense GF(2) product u . G.
 """
 
 import numpy as np
 
-from .kernels import generator_matrix, gf2_vecmat, stage_transform
+from .kernels import stage_transform
 
 
 def expand_message(a, spec):
@@ -24,13 +23,8 @@ def expand_message(a, spec):
     return u
 
 
-def encode_matrix(u, spec):
-    """Codeword x = u . G over GF(2) using the dense generator."""
-    return gf2_vecmat(u, generator_matrix(spec.kernels)).astype(np.uint8)
-
-
 def encode_recursive(u, spec):
-    """Codeword via stage-wise combine maps; equals encode_matrix on all inputs."""
+    """Codeword x = u . G over GF(2) via stage-wise combine maps."""
     return stage_transform(u, spec.kernels)
 
 

@@ -9,9 +9,13 @@ specialized step instead of being traversed:
   REP     only the last bit unfrozen      -> repetition over pattern P_v
 
 Ternary kernels leave the repeated bit in only part of the codeword, so REP
-nodes carry a mask P_v (Kronecker product of (1,1) / (0,1,1) factors). REP2
-nodes are all-binary, REP3A all-ternary, REP3B/REP3C have a single ternary
-stage first/last; those admit fixed index arithmetic instead of a mask.
+nodes carry a mask P_v (Kronecker product of (1,1) / (0,1,1) factors) and
+decode by one pattern sum, alpha @ P_v. REP2 nodes are all-binary, REP3A
+all-ternary, REP3B/REP3C have their ternary stages first/last; the classes
+differ only in which nodes are recognized (and counted in Table 2).
+
+FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
+schedule's multi-bit leaves replace the subtrees they prune.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .kernels import code_length, stage_transform, validate_kernel_vector
-from .sc import f_op, g_op, lambda0, lambda1, lambda2
+# The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
+from .sc import _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
 
 class NodeClass(str, Enum):
@@ -43,11 +48,12 @@ class NodeLimits:
 
     rep3a_max_span caps all-ternary REP nodes so their patterns can be
     tabulated (3, 9 or 27). REP3B/C are only recognized with at most
-    rep3bc_max_ternary_stages ternary stages so the masked sum reduces to
-    fixed index arithmetic. The optional span caps disable or bound a node
-    class (0 disables, None leaves it uncapped). general_rep lifts the
-    REP constraints entirely and decodes any repetition pattern through its
-    mask; it exists as an oracle/debug path, not the production default.
+    rep3bc_max_ternary_stages ternary stages, the paper's constraint for a
+    fixed-index implementation. The optional span caps disable or bound a
+    node class (0 disables, None leaves it uncapped). general_rep lifts the
+    REP constraints entirely (the paper's generalization). Every REP node
+    decodes by its pattern sum, so these limits change which nodes are
+    recognized, not how they decode.
     """
 
     rep3a_max_span: int = 27
@@ -197,13 +203,6 @@ def decode_rate1(alpha, kv_sub):
     return beta, stage_transform(beta, kv_sub, inverse=True)
 
 
-def rate1_uhat_matrix(beta, kv_sub):
-    """Rate-1 sourceword by the dense route beta . G_p^-1 (oracle for decode_rate1)."""
-    from .kernels import gf2_vecmat, inverse_generator
-
-    return gf2_vecmat(beta, inverse_generator(kv_sub)).astype(np.uint8)
-
-
 def decode_spc(alpha, kv_sub):
     """Single parity check: hard decisions, then flip the least reliable bit
     if the overall parity is odd. Maximum likelihood for this subcode."""
@@ -218,127 +217,39 @@ def decode_spc(alpha, kv_sub):
     return beta, stage_transform(beta, kv_sub, inverse=True)
 
 
-def _rep3b_mask(span):
-    mask = np.ones(span, dtype=np.uint8)
-    mask[: span // 3] = 0
-    return mask
+def decode_rep(alpha, pattern):
+    """Repetition decode: hard decision on the pattern-masked LLR sum alpha @ P_v.
 
-
-def _rep3c_mask(span):
-    return (np.arange(span) % 3 != 0).astype(np.uint8)
-
-
-def decode_rep(alpha, node_class, pattern):
-    """Repetition decode: hard decision on the pattern-masked LLR sum.
-
-    REP2 sums everything, REP3B skips the first third, REP3C skips every
-    third index; those shortcuts apply exactly when the pattern has the
-    matching single-ternary shape, otherwise the mask itself is used (REP3A
-    and the general path).
+    The repeated bit is the node's last sourceword bit; beta is that bit
+    times the pattern.
     """
     alpha = np.asarray(alpha, dtype=float)
     pattern = np.asarray(pattern, dtype=np.uint8)
-    span = alpha.shape[-1]
-    if node_class is NodeClass.REP2:
-        total = alpha.sum(axis=-1)
-    elif node_class is NodeClass.REP3B and np.array_equal(pattern, _rep3b_mask(span)):
-        total = alpha[..., span // 3 :].sum(axis=-1)
-    elif node_class is NodeClass.REP3C and np.array_equal(pattern, _rep3c_mask(span)):
-        total = alpha[..., np.arange(span) % 3 != 0].sum(axis=-1)
-    else:
-        total = alpha @ pattern.astype(float)
-    bit = (np.asarray(total) <= 0).astype(np.uint8)
+    bit = (np.asarray(alpha @ pattern.astype(float)) <= 0).astype(np.uint8)
     beta = bit[..., np.newaxis] * pattern
     u_hat = np.zeros(alpha.shape, dtype=np.uint8)
     u_hat[..., -1] = bit
     return beta, u_hat
 
 
-class FastSSCDecoder:
-    """Schedule-driven decoder; traversal matches SCDecoder except at fast leaves.
+class FastSSCDecoder(_TreeDecoder):
+    """Schedule-driven decoder: the SC walk with the schedule's multi-bit leaves
+    decoded in one step.
 
     Schedules are immutable and may be shared; the decoder owns its scratch
     buffers, so use one instance per worker.
     """
 
     def __init__(self, spec, limits=None, schedule=None):
-        self.spec = spec
+        super().__init__(spec)
         self.limits = limits or NodeLimits()
         self.schedule = schedule if schedule is not None else build_schedule(spec, self.limits)
         if self.schedule.kernels != spec.kernels or not np.array_equal(
             self.schedule.frozen, spec.frozen
         ):
             raise ValueError("schedule was built for a different code")
-        self.kv = spec.kernels
-        spans = [spec.n_bits]
-        for k in self.kv:
-            spans.append(spans[-1] // k)
-        self.spans = spans
-        self._batch = 0
-        self._llr = None
-        self._beta = None
-        self._u = None
-
-    def _ensure_buffers(self, batch):
-        if batch == self._batch:
-            return
-        self._batch = batch
-        self._llr = [np.empty((batch, s), dtype=float) for s in self.spans]
-        self._beta = [np.empty((batch, s), dtype=np.uint8) for s in self.spans]
-        self._u = np.empty((batch, self.spec.n_bits), dtype=np.uint8)
-
-    def decode(self, llr):
-        llr = np.asarray(llr, dtype=float)
-        if llr.shape != (self.spec.n_bits,):
-            raise ValueError(f"expected {self.spec.n_bits} LLRs, got shape {llr.shape}")
-        u, x = self.decode_batch(llr[np.newaxis, :])
-        return u[0], x[0]
-
-    def decode_batch(self, llrs):
-        llrs = np.asarray(llrs, dtype=float)
-        if llrs.ndim != 2 or llrs.shape[1] != self.spec.n_bits:
-            raise ValueError(f"expected (batch, {self.spec.n_bits}) LLRs, got {llrs.shape}")
-        self._ensure_buffers(llrs.shape[0])
-        self._llr[0][:] = llrs
-        self._run(self.schedule.root)
-        return self._u.copy(), self._beta[0].copy()
-
-    def _run(self, node):
-        depth, span = node.depth, node.span
-        if node.node_class is not NodeClass.GENERIC:
-            self._decode_leaf(node)
-            return
-        k = self.kv[depth]
-        q = span // k
-        alpha = self._llr[depth]
-        child = self._llr[depth + 1]
-        beta = self._beta[depth]
-        if k == 2:
-            l0, l1 = alpha[:, :q], alpha[:, q:span]
-            child[:] = f_op(l0, l1)
-            self._run(node.children[0])
-            beta[:, :q] = self._beta[depth + 1]
-            child[:] = g_op(l0, l1, beta[:, :q])
-            self._run(node.children[1])
-            b1 = self._beta[depth + 1]
-            beta[:, :q] ^= b1
-            beta[:, q:span] = b1
-        else:
-            l0, l1, l2 = alpha[:, :q], alpha[:, q : 2 * q], alpha[:, 2 * q : span]
-            child[:] = lambda0(l0, l1, l2)
-            self._run(node.children[0])
-            beta[:, :q] = self._beta[depth + 1]
-            child[:] = lambda1(l0, l1, l2, beta[:, :q])
-            self._run(node.children[1])
-            beta[:, q : 2 * q] = self._beta[depth + 1]
-            child[:] = lambda2(l1, l2, beta[:, :q], beta[:, q : 2 * q])
-            self._run(node.children[2])
-            s0 = beta[:, :q].copy()
-            s1 = beta[:, q : 2 * q].copy()
-            s2 = self._beta[depth + 1]
-            beta[:, :q] = s0 ^ s1
-            beta[:, q : 2 * q] = s0 ^ s2
-            beta[:, 2 * q : span] = s0 ^ s1 ^ s2
+        # Single-bit leaves take the walk's own bit decision, which they equal.
+        self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
     def _decode_leaf(self, node):
         depth, offset, span = node.depth, node.offset, node.span
@@ -350,20 +261,10 @@ class FastSSCDecoder:
             return
         alpha = self._llr[depth]
         if cls is NodeClass.RATE1:
-            if span == 1:
-                bits = (alpha[:, 0] <= 0).astype(np.uint8)
-                beta[:, 0] = bits
-                self._u[:, offset] = bits
-                return
             b, u = decode_rate1(alpha, node.kv_sub)
         elif cls is NodeClass.SPC:
             b, u = decode_spc(alpha, node.kv_sub)
         else:
-            b, u = decode_rep(alpha, cls, node.pattern)
+            b, u = decode_rep(alpha, node.pattern)
         beta[:] = b
         self._u[:, offset : offset + span] = u
-
-
-def decode_fast(spec, sched, llr):
-    """One-shot Fast-SSC decode with a prebuilt schedule; returns (u_hat, x_hat)."""
-    return FastSSCDecoder(spec, schedule=sched).decode(llr)

@@ -1,4 +1,4 @@
-"""Reference successive-cancellation decoding over mixed binary/ternary trees.
+"""Successive-cancellation decoding over mixed binary/ternary trees.
 
 The decode tree follows the generator's Kronecker order: the first kernel in
 the vector governs the root split, a node at depth d branches by the (d+1)-th
@@ -6,6 +6,10 @@ kernel, and leaves are single sourceword bits. Binary nodes apply the f and g
 LLR maps to their left and right children; ternary nodes apply lambda0/1/2 to
 left, center and right. Partial sums travel back up through the c2/c3
 combines. LLR sign convention: positive means bit 0.
+
+This module owns the one tree walk both decoders run (`_TreeDecoder`).
+SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
+tree but hands each pruned subtree to a one-step leaf decoder.
 """
 
 import numpy as np
@@ -83,18 +87,21 @@ def tree_spans(kv):
     return spans[::-1]
 
 
-class SCDecoder:
-    """Successive-cancellation decoder for one code.
+class _TreeDecoder:
+    """The SC tree walk, its scratch buffers, and the decode entry points.
 
-    Owns per-depth LLR and partial-sum scratch buffers, so an instance must
-    not be shared mid-decode; create one per worker. decode_batch runs any
-    number of independent frames through the same schedule at once.
+    Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves`
+    is decoded in one step by `self._decode_leaf(node)`, which a subclass
+    that fills `_leaves` must define; every other node recurses down to
+    single-bit decisions. The per-depth LLR and partial-sum buffers make an
+    instance unsafe to share mid-decode; create one per worker.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self.kv = spec.kernels
         self.spans = tree_spans(self.kv)
+        self._leaves = {}
         self._batch = 0
         self._llr = None
         self._beta = None
@@ -117,9 +124,14 @@ class SCDecoder:
         return u[0], x[0]
 
     def decode_batch(self, llrs):
+        """Decode a (batch, N) array of frames; NaN LLRs are rejected."""
         llrs = np.asarray(llrs, dtype=float)
         if llrs.ndim != 2 or llrs.shape[1] != self.spec.n_bits:
             raise ValueError(f"expected (batch, {self.spec.n_bits}) LLRs, got {llrs.shape}")
+        # min() propagates NaN and, unlike isnan(), allocates no batch-sized mask
+        if np.isnan(llrs.min()):
+            frame, index = np.argwhere(np.isnan(llrs))[0]
+            raise ValueError(f"LLR {index} of frame {frame} is NaN")
         self._ensure_buffers(llrs.shape[0])
         self._llr[0][:] = llrs
         self._decode_node(0, 0)
@@ -134,6 +146,10 @@ class SCDecoder:
             else:
                 beta[:, 0] = self._llr[depth][:, 0] <= 0
             self._u[:, offset] = beta[:, 0]
+            return
+        leaf = self._leaves.get((depth, offset))
+        if leaf is not None:
+            self._decode_leaf(leaf)
             return
 
         k = self.kv[depth]
@@ -170,6 +186,9 @@ class SCDecoder:
             beta[:, 2 * q : span] = s0 ^ s1 ^ s2
 
 
-def decode_sc(spec, llr):
-    """One-shot SC decode; returns (u_hat, x_hat)."""
-    return SCDecoder(spec).decode(llr)
+class SCDecoder(_TreeDecoder):
+    """Successive-cancellation decoder for one code: the full tree walk.
+
+    decode_batch runs any number of independent frames through the tree at
+    once. One instance per worker (see _TreeDecoder).
+    """

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mkpolar.construction import CodeSpec, design_code
-from mkpolar.kernels import code_length
+from mkpolar.kernels import code_length, generator_matrix, gf2_vecmat, inverse_generator
 
 
 def kernel_vectors(max_n, min_n=2):
@@ -40,6 +40,16 @@ def rep_spec(kv):
     frozen = np.ones(n, dtype=np.uint8)
     frozen[-1] = 0
     return spec_with_frozen(kv, frozen)
+
+
+def encode_matrix(u, spec):
+    """Codeword x = u . G over GF(2) using the dense generator (oracle for the encoder)."""
+    return gf2_vecmat(u, generator_matrix(spec.kernels)).astype(np.uint8)
+
+
+def rate1_uhat_matrix(beta, kv_sub):
+    """Rate-1 sourceword by the dense route beta . G_p^-1 (oracle for decode_rate1)."""
+    return gf2_vecmat(beta, inverse_generator(kv_sub)).astype(np.uint8)
 
 
 def noiseless_llrs(x, magnitude=6.0):

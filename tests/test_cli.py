@@ -29,6 +29,21 @@ class TestSpecFiles:
         with pytest.raises(cli.CommandError):
             cli.load_code_spec(path)
 
+    @pytest.mark.parametrize(
+        "frozen,complaint",
+        [("-1,0,1", "index -1 is outside 0..5"), ("0,1,9", "index 9 is outside 0..5"),
+         ("0,1,1", "index 1 is listed twice")],
+        ids=("negative", "out_of_range", "duplicate"),
+    )
+    def test_bad_frozen_index_rejected(self, tmp_path, capsys, frozen, complaint):
+        path = tmp_path / "bad.spec"
+        path.write_text(f"N 6\nK 3\nkernels 2,3\nfrozen {frozen}\n")
+        with pytest.raises(cli.CommandError, match=complaint):
+            cli.load_code_spec(path)
+        assert run_cli(["encode", "--spec", str(path), "--message", "101"]) == 2
+        err = capsys.readouterr().err
+        assert complaint in err and len(err.strip().splitlines()) == 1
+
 
 class TestConstruct:
     def test_writes_spec_and_reliability(self, tmp_path):
@@ -102,6 +117,16 @@ class TestEncodeDecode:
         cli.save_code_spec(spec, path)
         assert run_cli(["encode", "--spec", str(path), "--message", "10"]) == 2
 
+    @pytest.mark.parametrize("decoder", ["sc", "fastssc"])
+    def test_nan_llr_rejected(self, tmp_path, capsys, decoder):
+        llr_file = tmp_path / "llrs.txt"
+        llr_file.write_text("1.0 2.0 nan 1.0 1.0 1.0")
+        assert run_cli(["decode", "--kernels", "2,3", "--k", "3", "--llrs", str(llr_file),
+                        "--decoder", decoder]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["mkpolar decode: LLR 2 of frame 0 is NaN"]
+
 
 class TestSimulate:
     def test_writes_deterministic_csv(self, tmp_path):
@@ -132,6 +157,10 @@ class TestSimulate:
     def test_missing_snr_is_usage_error(self, capsys):
         assert run_cli(["simulate", "--n", "6", "--k", "3"]) == 2
         assert "--snr" in capsys.readouterr().err
+
+    def test_unparsable_snr_is_usage_error(self, capsys):
+        assert run_cli(["simulate", "--n", "6", "--k", "3", "--snr", "a:b:c"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_snr_parsing(self):
         assert cli.parse_snr_range("1:0.5:4") == (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from mkpolar.encoding import encode_matrix, encode_message, encode_recursive, expand_message
+from mkpolar.encoding import encode_message, encode_recursive, expand_message
 from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator
 
-from conftest import kernel_vectors, spec_with_frozen
+from conftest import encode_matrix, kernel_vectors, spec_with_frozen
 
 
 def _spec(kv, frozen):

@@ -13,12 +13,10 @@ from mkpolar.fast_ssc import (
     NodeLimits,
     build_schedule,
     classify_node,
-    decode_fast,
     decode_rate0,
     decode_rate1,
     decode_rep,
     decode_spc,
-    rate1_uhat_matrix,
     rep_pattern,
 )
 from mkpolar.kernels import generator_matrix
@@ -29,6 +27,7 @@ from conftest import (
     kernel_vectors,
     noiseless_llrs,
     rate1_spec,
+    rate1_uhat_matrix,
     rep_spec,
     spec_with_frozen,
 )
@@ -238,24 +237,24 @@ class TestDecodeSPC:
 
 class TestDecodeRep:
     def test_rep3a_excludes_masked_index(self):
-        beta, u = decode_rep(np.array([5.0, -1.0, -2.0]), NodeClass.REP3A, rep_pattern((3,)))
+        beta, u = decode_rep(np.array([5.0, -1.0, -2.0]), rep_pattern((3,)))
         assert beta.tolist() == [0, 1, 1]
         assert u.tolist() == [0, 0, 1]
 
     def test_rep2_positive_sum(self):
-        beta, u = decode_rep(np.array([1.0, 2.0]), NodeClass.REP2, rep_pattern((2,)))
+        beta, u = decode_rep(np.array([1.0, 2.0]), rep_pattern((2,)))
         assert beta.tolist() == [0, 0]
         assert u.tolist() == [0, 0]
 
     def test_rep3b_skips_first_third(self):
         alpha = np.array([9.0, 9.0, 1.0, -1.0, -1.0, -1.0])
-        beta, u = decode_rep(alpha, NodeClass.REP3B, rep_pattern((3, 2)))
+        beta, u = decode_rep(alpha, rep_pattern((3, 2)))
         assert beta.tolist() == [0, 0, 1, 1, 1, 1]
         assert u.tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_rep3c_skips_every_third(self):
         alpha = np.array([9.0, -1.0, -1.0, 9.0, -1.0, -1.0])
-        beta, u = decode_rep(alpha, NodeClass.REP3C, rep_pattern((2, 3)))
+        beta, u = decode_rep(alpha, rep_pattern((2, 3)))
         assert beta.tolist() == [0, 1, 1, 0, 1, 1]
         assert u.tolist() == [0, 0, 0, 0, 0, 1]
 
@@ -266,22 +265,12 @@ class TestDecodeRep:
     )
     def test_matches_sc_on_rep_subtree(self, kv, cls, rng):
         spec = rep_spec(kv)
+        assert build_schedule(spec).root.node_class is cls
         alpha = rng.normal(0, 2, (500, spec.n_bits))
-        beta, u = decode_rep(alpha, cls, rep_pattern(kv))
+        beta, u = decode_rep(alpha, rep_pattern(kv))
         u_sc, x_sc = SCDecoder(spec).decode_batch(alpha)
         assert np.array_equal(u, u_sc)
         assert np.array_equal(beta, x_sc)
-
-    @pytest.mark.parametrize("kv", [(3, 2), (2, 3), (3, 2, 2), (2, 2, 3)], ids=str)
-    def test_simplified_matches_masked_oracle(self, kv, rng):
-        # the index-arithmetic forms against the general pattern sum
-        n = int(np.prod(kv))
-        cls = NodeClass.REP3B if kv[0] == 3 else NodeClass.REP3C
-        alpha = rng.normal(0, 2, (300, n))
-        fast = decode_rep(alpha, cls, rep_pattern(kv))
-        general = decode_rep(alpha, NodeClass.REP3A, rep_pattern(kv))
-        assert np.array_equal(fast[0], general[0])
-        assert np.array_equal(fast[1], general[1])
 
 
 def _random_noisy_frames(spec, count, rng, snr_scale=1.0):
@@ -324,9 +313,16 @@ class TestFastDecoder:
         spec = design_code((2, 3), 3)
         sched = build_schedule(spec)
         _, llr = _random_noisy_frames(spec, 1, rng)
-        u_hat, x_hat = decode_fast(spec, sched, llr[0])
+        u_hat, x_hat = FastSSCDecoder(spec, schedule=sched).decode(llr[0])
         assert u_hat.shape == (6,)
         assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+
+    def test_nan_llr_rejected(self):
+        spec = design_code((2, 3), 3)
+        llr = np.ones((2, 6))
+        llr[1, 4] = np.nan
+        with pytest.raises(ValueError, match="LLR 4 of frame 1 is NaN"):
+            FastSSCDecoder(spec).decode_batch(llr)
 
     def test_schedule_spec_mismatch(self):
         spec_a = design_code((2, 3), 3)

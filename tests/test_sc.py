@@ -13,7 +13,6 @@ from mkpolar.sc import (
     combine2,
     combine3,
     combine3_inv,
-    decode_sc,
     f_op,
     g_op,
     hard_decision,
@@ -145,7 +144,7 @@ def test_decoder_matches_naive_oracle(kv, rng):
         frozen = rng.integers(0, 2, n, dtype=np.uint8)
         spec = spec_with_frozen(kv, frozen)
         llr = rng.normal(0, 2, n)
-        got_u, got_x = decode_sc(spec, llr)
+        got_u, got_x = SCDecoder(spec).decode(llr)
         want_u, want_x = naive_sc(spec, llr)
         assert np.array_equal(got_u, want_u)
         assert np.array_equal(got_x, want_x)
@@ -154,21 +153,28 @@ def test_decoder_matches_naive_oracle(kv, rng):
 class TestDecodeSC:
     def test_hand_trace_n3(self):
         spec = spec_with_frozen((3,), [1, 1, 0])
-        u_hat, x_hat = decode_sc(spec, [5.0, -1.0, -2.0])
+        u_hat, x_hat = SCDecoder(spec).decode([5.0, -1.0, -2.0])
         assert u_hat.tolist() == [0, 0, 1]
         assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
 
     def test_all_frozen_decodes_zero(self, rng):
         spec = spec_with_frozen((2, 3), np.ones(6, dtype=np.uint8))
         llr = rng.normal(0, 2, 6)
-        u_hat, x_hat = decode_sc(spec, llr)
+        u_hat, x_hat = SCDecoder(spec).decode(llr)
         assert not u_hat.any()
         assert not x_hat.any()
 
     def test_length_mismatch(self):
         spec = spec_with_frozen((3,), [1, 1, 0])
         with pytest.raises(ValueError):
-            decode_sc(spec, [1.0, 2.0])
+            SCDecoder(spec).decode([1.0, 2.0])
+
+    def test_nan_llr_rejected(self):
+        spec = spec_with_frozen((3,), [1, 1, 0])
+        with pytest.raises(ValueError, match="LLR 1 of frame 0 is NaN"):
+            SCDecoder(spec).decode([1.0, np.nan, 2.0])
+        with pytest.raises(ValueError, match="LLR 2 of frame 1 is NaN"):
+            SCDecoder(spec).decode_batch([[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]])
 
     @pytest.mark.parametrize("kv", kernel_vectors(96, min_n=4), ids=str)
     def test_noiseless_roundtrip(self, kv, rng):
