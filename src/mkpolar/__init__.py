@@ -26,7 +26,6 @@ from .fast_ssc import (
     PrunedSchedule,
     build_schedule,
     classify_node,
-    decode_rate0,
     decode_rate1,
     decode_rep,
     decode_spc,
@@ -43,12 +42,8 @@ from .kernels import (
 )
 from .sc import (
     SCDecoder,
-    combine2,
-    combine3,
-    combine3_inv,
     f_op,
     g_op,
-    hard_decision,
     lambda0,
     lambda1,
     lambda2,

@@ -30,7 +30,6 @@ class ChannelConfig:
 
     ebn0_db: float
     rate: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.rate < 1.0:

@@ -9,13 +9,14 @@ specialized step instead of being traversed:
   REP     only the last bit unfrozen      -> repetition over pattern P_v
 
 Ternary kernels leave the repeated bit in only part of the codeword, so REP
-nodes carry a mask P_v (Kronecker product of (1,1) / (0,1,1) factors) and
+nodes carry a mask P_v (Kronecker product of the kernels' last rows) and
 decode by one pattern sum, alpha @ P_v. REP2 nodes are all-binary, REP3A
 all-ternary, REP3B/REP3C have their ternary stages first/last; the classes
 differ only in which nodes are recognized (and counted in Table 2).
 
 FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
-schedule's multi-bit leaves replace the subtrees they prune.
+schedule's multi-bit leaves replace the subtrees they prune; Rate-1 and SPC
+leaves recover their sourceword bits by the inverse stage transform.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import code_length, stage_transform, validate_kernel_vector
+from .kernels import KERNELS, code_length, stage_transform, validate_kernel_vector
 # The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
 from .sc import _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
@@ -47,20 +48,16 @@ class NodeLimits:
     """Constraints on which fast nodes the schedule builder may emit.
 
     rep3a_max_span caps all-ternary REP nodes so their patterns can be
-    tabulated (3, 9 or 27). REP3B/C are only recognized with at most
-    rep3bc_max_ternary_stages ternary stages, the paper's constraint for a
-    fixed-index implementation. The optional span caps disable or bound a
-    node class (0 disables, None leaves it uncapped). general_rep lifts the
-    REP constraints entirely (the paper's generalization). Every REP node
-    decodes by its pattern sum, so these limits change which nodes are
-    recognized, not how they decode.
+    tabulated (3, 9 or 27). REP3B/C are only recognized with exactly one
+    ternary stage, the paper's constraint for a fixed-index implementation.
+    spc_max_span bounds SPC nodes (0 disables them, None leaves them
+    uncapped). general_rep lifts the REP constraints entirely (the paper's
+    generalization). Every REP node decodes by its pattern sum, so these
+    limits change which nodes are recognized, not how they decode.
     """
 
     rep3a_max_span: int = 27
-    rep3bc_max_ternary_stages: int = 1
-    rate1_max_span: int | None = None
     spc_max_span: int | None = None
-    rep2_max_span: int | None = None
     general_rep: bool = False
 
     def __post_init__(self):
@@ -68,23 +65,16 @@ class NodeLimits:
             raise ValueError(f"rep3a_max_span must be 3, 9 or 27, got {self.rep3a_max_span}")
 
 
-_REP_FACTORS = {2: np.array([1, 1], dtype=np.uint8), 3: np.array([0, 1, 1], dtype=np.uint8)}
-
-
 def rep_pattern(kv_sub):
-    """Repetition pattern P_v: Kronecker product of (1,1)/(0,1,1) in kv order.
+    """Repetition pattern P_v: Kronecker product of the kernels' last rows in kv order.
 
     Equals the last generator row, i.e. the codeword of (0, ..., 0, 1).
     """
     kv_sub = validate_kernel_vector(kv_sub)
     pat = np.array([1], dtype=np.uint8)
     for k in kv_sub:
-        pat = np.kron(pat, _REP_FACTORS[k])
+        pat = np.kron(pat, KERNELS[k][-1])
     return pat
-
-
-def _within(span, cap):
-    return cap is None or span <= cap
 
 
 def classify_node(frozen_span, kv_sub, limits=None):
@@ -105,25 +95,26 @@ def classify_node(frozen_span, kv_sub, limits=None):
     if n_frozen == span:
         return NodeClass.RATE0
     if n_frozen == 0:
-        return NodeClass.RATE1 if _within(span, limits.rate1_max_span) else NodeClass.GENERIC
+        return NodeClass.RATE1
     if n_frozen == span - 1 and mask[-1] == 0:
         n3 = kv_sub.count(3)
         if n3 == 0:
-            return NodeClass.REP2 if _within(span, limits.rep2_max_span) else NodeClass.GENERIC
+            return NodeClass.REP2
         if n3 == len(kv_sub):
             if span <= limits.rep3a_max_span or limits.general_rep:
                 return NodeClass.REP3A
             return NodeClass.GENERIC
         if limits.general_rep:
             return NodeClass.REP3B if kv_sub[0] == 3 else NodeClass.REP3C
-        if n3 <= limits.rep3bc_max_ternary_stages:
-            if kv_sub[:n3] == (3,) * n3:
-                return NodeClass.REP3B
-            if kv_sub[-n3:] == (3,) * n3:
-                return NodeClass.REP3C
+        if n3 == 1 and kv_sub[0] == 3:
+            return NodeClass.REP3B
+        if n3 == 1 and kv_sub[-1] == 3:
+            return NodeClass.REP3C
         return NodeClass.GENERIC
     if n_frozen == 1 and mask[0] == 1:
-        return NodeClass.SPC if _within(span, limits.spc_max_span) else NodeClass.GENERIC
+        if limits.spc_max_span is None or span <= limits.spc_max_span:
+            return NodeClass.SPC
+        return NodeClass.GENERIC
     return NodeClass.GENERIC
 
 
@@ -190,14 +181,8 @@ def build_schedule(spec, limits=None):
     return PrunedSchedule(root=root, kernels=kv, n_bits=spec.n_bits, frozen=spec.frozen.copy())
 
 
-def decode_rate0(alpha):
-    """Rate-0: everything is known to be zero; only the shape of alpha is used."""
-    shape = np.shape(alpha)
-    return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)
-
-
 def decode_rate1(alpha, kv_sub):
-    """Rate-1: beta = hard decisions, sourceword recovered via inverse combines."""
+    """Rate-1: beta = hard decisions, sourceword recovered by the inverse stage transform."""
     alpha = np.asarray(alpha, dtype=float)
     beta = (alpha <= 0).astype(np.uint8)
     return beta, stage_transform(beta, kv_sub, inverse=True)

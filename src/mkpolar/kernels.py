@@ -4,6 +4,10 @@ The generator matrix of a multi-kernel polar code is the left-to-right
 Kronecker product of 2x2 and 3x3 polarizing kernels, described by a kernel
 vector such as (2, 2, 3). All matrices are dense uint8 arrays with entries
 in {0, 1}; arithmetic is mod 2.
+
+The encoder, the decode tree's partial sums and the leaf inverses all run
+the kernels as in-place row XORs (KERNEL_STEPS, apply_kernel); the matrices
+are the oracle the steps are tested against.
 """
 
 from functools import reduce
@@ -20,6 +24,10 @@ T3_INV = np.array([[1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
 
 KERNELS = {2: T2, 3: T3}
 KERNEL_INVERSES = {2: T2_INV, 3: T3_INV}
+
+# T_k as row operations: a step (a, b) is row a ^= row b. Each step is its own
+# inverse, so running the steps in reverse multiplies by T_k^-1.
+KERNEL_STEPS = {2: ((0, 1),), 3: ((0, 1), (2, 0), (1, 2))}
 
 
 def validate_kernel_vector(kv):
@@ -123,17 +131,24 @@ def gf2_matmul(a, b):
     return ((a @ b) % 2).astype(np.uint8)
 
 
+def apply_kernel(v, k, inverse=False):
+    """Multiply axis -2 of v (length k) by T_k, or T_k^-1, in place over GF(2)."""
+    steps = KERNEL_STEPS[k]
+    for a, b in reversed(steps) if inverse else steps:
+        row = v[..., a, :]
+        row ^= v[..., b, :]
+
+
 def stage_transform(bits, kv, inverse=False):
     """Apply the per-stage blockwise kernel maps of the decode tree.
 
     Equivalent to ``bits @ generator_matrix(kv)`` (or the inverse generator
-    when ``inverse`` is set) but in O(N log N) stage operations instead of a
+    when ``inverse`` is set) but in O(N log N) in-place row XORs instead of a
     dense product. Accepts a trailing axis of length N; leading axes are
-    treated as a batch.
+    treated as a batch. The input is copied once and never modified.
     """
     kv = validate_kernel_vector(kv)
-    mats = KERNEL_INVERSES if inverse else KERNELS
-    x = np.array(bits, dtype=np.uint8)
+    x = np.array(bits, dtype=np.uint8, order="C")
     n = prod(kv)
     if x.shape[-1] != n:
         raise ValueError(f"input length {x.shape[-1]} does not match code length {n}")
@@ -141,18 +156,5 @@ def stage_transform(bits, kv, inverse=False):
     below = n
     for k in kv:
         below //= k
-        v = x.reshape(lead + (-1, k, below))
-        x = _apply_kernel_blocks(v, mats[k]).reshape(lead + (n,))
+        apply_kernel(x.reshape(lead + (n // (k * below), k, below)), k, inverse)
     return x
-
-
-def _apply_kernel_blocks(v, mat):
-    # out[..., j, :] = XOR over i with mat[i, j] == 1 of v[..., i, :]
-    out = np.empty_like(v)
-    for j in range(mat.shape[1]):
-        rows = np.flatnonzero(mat[:, j])
-        acc = v[..., rows[0], :].copy()
-        for i in rows[1:]:
-            acc ^= v[..., i, :]
-        out[..., j, :] = acc
-    return out

@@ -4,8 +4,9 @@ The decode tree follows the generator's Kronecker order: the first kernel in
 the vector governs the root split, a node at depth d branches by the (d+1)-th
 kernel, and leaves are single sourceword bits. Binary nodes apply the f and g
 LLR maps to their left and right children; ternary nodes apply lambda0/1/2 to
-left, center and right. Partial sums travel back up through the c2/c3
-combines. LLR sign convention: positive means bit 0.
+left, center and right. Partial sums travel back up through the node's kernel
+(kernels.apply_kernel). LLR sign convention: positive means bit 0; an LLR of
+exactly zero decides 1 on an unfrozen bit.
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
@@ -14,7 +15,7 @@ tree but hands each pruned subtree to a one-step leaf decoder.
 
 import numpy as np
 
-from .kernels import validate_kernel_vector
+from .kernels import apply_kernel, validate_kernel_vector
 
 
 def f_op(l0, l1):
@@ -53,31 +54,6 @@ def lambda2(l1, l2, u0, u1):
     return s0 * l1 + s1 * l2
 
 
-def hard_decision(llr, is_frozen=False):
-    """Bit decision: frozen positions decide 0, otherwise 0 iff llr > 0.
-
-    An LLR of exactly zero decides 1 on unfrozen positions.
-    """
-    if is_frozen:
-        return np.zeros_like(np.asarray(llr), dtype=np.uint8)[()]
-    return (np.asarray(llr) <= 0).astype(np.uint8)[()]
-
-
-def combine2(s0, s1):
-    """Binary partial-sum combine: (s0 xor s1, s1)."""
-    return s0 ^ s1, s1
-
-
-def combine3(s0, s1, s2):
-    """Ternary combine: (s0^s1, s0^s2, s0^s1^s2); equals (s0,s1,s2) . T3."""
-    return s0 ^ s1, s0 ^ s2, s0 ^ s1 ^ s2
-
-
-def combine3_inv(s0, s1, s2):
-    """Inverse ternary combine: (s0^s1^s2, s1^s2, s0^s2)."""
-    return s0 ^ s1 ^ s2, s1 ^ s2, s0 ^ s2
-
-
 def tree_spans(kv):
     """Leaf span of a node at each depth: spans[0] = N down to spans[M] = 1."""
     kv = validate_kernel_vector(kv)
@@ -102,7 +78,7 @@ class _TreeDecoder:
         self.kv = spec.kernels
         self.spans = tree_spans(self.kv)
         self._leaves = {}
-        self._batch = 0
+        self._batch = None
         self._llr = None
         self._beta = None
         self._u = None
@@ -124,16 +100,21 @@ class _TreeDecoder:
         return u[0], x[0]
 
     def decode_batch(self, llrs):
-        """Decode a (batch, N) array of frames; NaN LLRs are rejected."""
+        """Decode a (batch, N) array of frames; NaN LLRs are rejected.
+
+        LLRs are saturated to +-max_float / (2N), so +-inf and huge values
+        decide like large finite ones and no sum in the tree can overflow.
+        """
         llrs = np.asarray(llrs, dtype=float)
         if llrs.ndim != 2 or llrs.shape[1] != self.spec.n_bits:
             raise ValueError(f"expected (batch, {self.spec.n_bits}) LLRs, got {llrs.shape}")
         # min() propagates NaN and, unlike isnan(), allocates no batch-sized mask
-        if np.isnan(llrs.min()):
+        if llrs.size and np.isnan(llrs.min()):
             frame, index = np.argwhere(np.isnan(llrs))[0]
             raise ValueError(f"LLR {index} of frame {frame} is NaN")
         self._ensure_buffers(llrs.shape[0])
-        self._llr[0][:] = llrs
+        bound = np.finfo(float).max / (2 * self.spec.n_bits)
+        np.clip(llrs, -bound, bound, out=self._llr[0])
         self._decode_node(0, 0)
         return self._u.copy(), self._beta[0].copy()
 
@@ -158,6 +139,7 @@ class _TreeDecoder:
         child = self._llr[depth + 1]
         beta = self._beta[depth]
 
+        # Children's partial sums stay raw in their slots until the last is decoded.
         if k == 2:
             l0, l1 = alpha[:, :q], alpha[:, q:span]
             child[:] = f_op(l0, l1)
@@ -165,9 +147,7 @@ class _TreeDecoder:
             beta[:, :q] = self._beta[depth + 1]
             child[:] = g_op(l0, l1, beta[:, :q])
             self._decode_node(depth + 1, offset + q)
-            b1 = self._beta[depth + 1]
-            beta[:, :q] ^= b1
-            beta[:, q:span] = b1
+            beta[:, q:span] = self._beta[depth + 1]
         else:
             l0, l1, l2 = alpha[:, :q], alpha[:, q : 2 * q], alpha[:, 2 * q : span]
             child[:] = lambda0(l0, l1, l2)
@@ -178,12 +158,8 @@ class _TreeDecoder:
             beta[:, q : 2 * q] = self._beta[depth + 1]
             child[:] = lambda2(l1, l2, beta[:, :q], beta[:, q : 2 * q])
             self._decode_node(depth + 1, offset + 2 * q)
-            s0 = beta[:, :q].copy()
-            s1 = beta[:, q : 2 * q].copy()
-            s2 = self._beta[depth + 1]
-            beta[:, :q] = s0 ^ s1
-            beta[:, q : 2 * q] = s0 ^ s2
-            beta[:, 2 * q : span] = s0 ^ s1 ^ s2
+            beta[:, 2 * q : span] = self._beta[depth + 1]
+        apply_kernel(beta.reshape(-1, k, q), k)
 
 
 class SCDecoder(_TreeDecoder):

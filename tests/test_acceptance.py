@@ -27,8 +27,9 @@ from mkpolar.kernels import (
     generator_matrix,
     gf2_matmul,
     inverse_generator,
+    stage_transform,
 )
-from mkpolar.sc import SCDecoder, combine3, combine3_inv
+from mkpolar.sc import SCDecoder
 
 from conftest import kernel_vectors, rate1_spec
 
@@ -209,7 +210,8 @@ def test_criterion_08_gf2_algebra():
         g, g_inv = generator_matrix(kv), inverse_generator(kv)
         ok = ok and np.array_equal(gf2_matmul(g, g_inv), np.eye(len(g), dtype=np.uint8))
     for s in itertools.product((0, 1), repeat=3):
-        ok = ok and combine3_inv(*combine3(*s)) == s
+        x = stage_transform(np.array(s), (3,))
+        ok = ok and tuple(stage_transform(x, (3,), inverse=True)) == s
     _report(8, "gf2-algebra", ok)
 
 

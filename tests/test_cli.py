@@ -128,6 +128,20 @@ class TestEncodeDecode:
         assert captured.err.strip().splitlines() == ["mkpolar decode: LLR 2 of frame 0 is NaN"]
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("decoder", ["sc", "fastssc"])
+    @pytest.mark.parametrize("llrs,u_hat", [("inf -inf", "01"), ("1e308 1e308", "00")])
+    def test_infinite_and_huge_llrs_saturate(self, tmp_path, capsys, decoder, llrs, u_hat):
+        spec_file = tmp_path / "c.spec"
+        spec_file.write_text("N 2\nK 1\nkernels 2\nfrozen 0\n")
+        llr_file = tmp_path / "llrs.txt"
+        llr_file.write_text(llrs)
+        assert run_cli(["decode", "--spec", str(spec_file), "--llrs", str(llr_file),
+                        "--decoder", decoder]) == 0
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert out["u_hat"] == u_hat
+
+
 class TestSimulate:
     def test_writes_deterministic_csv(self, tmp_path):
         out = tmp_path / "fer.csv"

@@ -13,7 +13,6 @@ from mkpolar.fast_ssc import (
     NodeLimits,
     build_schedule,
     classify_node,
-    decode_rate0,
     decode_rate1,
     decode_rep,
     decode_spc,
@@ -162,16 +161,6 @@ class TestBuildSchedule:
             depth, offset, span, cls = line.split(",")
             assert cls in {c.value for c in NodeClass}
             assert int(span) >= 1
-
-
-class TestDecodeRate0:
-    def test_zeros(self):
-        beta, u = decode_rate0(np.array([1.5, -2.0, 0.5]))
-        assert not beta.any() and not u.any()
-
-    def test_span9_batch(self):
-        beta, u = decode_rate0(np.zeros((4, 9)))
-        assert beta.shape == (4, 9) and u.shape == (4, 9)
 
 
 class TestDecodeRate1:
@@ -323,6 +312,29 @@ class TestFastDecoder:
         llr[1, 4] = np.nan
         with pytest.raises(ValueError, match="LLR 4 of frame 1 is NaN"):
             FastSSCDecoder(spec).decode_batch(llr)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kv,k", [((2, 3), 3), ((3, 3, 2), 9), ((2, 2, 2, 2, 2, 3), 48)], ids=str)
+    def test_infinite_and_huge_llrs_saturate(self, kv, k, rng):
+        spec = design_code(kv, k)
+        u = expand_message(rng.integers(0, 2, (40, k), dtype=np.uint8), spec)
+        x = encode_recursive(u, spec)
+        magnitude = rng.choice([np.inf, 1e308, 4.0], size=x.shape)
+        u_hat, x_hat = FastSSCDecoder(spec).decode_batch(noiseless_llrs(x, magnitude))
+        assert np.array_equal(u_hat, u)
+        assert np.array_equal(x_hat, x)
+        signs = rng.choice([-1.0, 1.0], size=x.shape)
+        u_inf, x_inf = FastSSCDecoder(spec).decode_batch(signs * np.inf)
+        u_big, x_big = FastSSCDecoder(spec).decode_batch(signs * 1e308)
+        assert np.array_equal(u_inf, u_big) and np.array_equal(x_inf, x_big)
+        assert np.array_equal(x_inf, encode_recursive(u_inf, spec))
+
+    @pytest.mark.parametrize("kv,k", [((2, 3), 3), ((2, 2, 2, 2, 2, 3), 48)], ids=str)
+    def test_empty_batch(self, kv, k):
+        spec = design_code(kv, k)
+        u_hat, x_hat = FastSSCDecoder(spec).decode_batch(np.zeros((0, spec.n_bits)))
+        for out in (u_hat, x_hat):
+            assert out.shape == (0, spec.n_bits) and out.dtype == np.uint8
 
     def test_schedule_spec_mismatch(self):
         spec_a = design_code((2, 3), 3)

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -7,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolar.encoding import encode_recursive, expand_message
-from mkpolar.kernels import T3, gf2_vecmat, inverse_generator
 from mkpolar.sc import (
     SCDecoder,
-    combine2,
-    combine3,
-    combine3_inv,
     f_op,
     g_op,
-    hard_decision,
     lambda0,
     lambda1,
     lambda2,
@@ -66,46 +60,11 @@ class TestLlrOps:
         assert lambda2(2.0, 3.0, 0, 0) == pytest.approx(5.0)
         assert lambda2(2.0, 3.0, 0, 1) == pytest.approx(-1.0)
 
-    def test_hard_decision(self):
-        assert hard_decision(2.0) == 0
-        assert hard_decision(-1.0, is_frozen=True) == 0
-        assert hard_decision(0.0) == 1
-        assert hard_decision(-3.5) == 1
-
     @given(nonzero_llr, nonzero_llr)
     @settings(max_examples=200, deadline=None)
     def test_boxplus_sign_property(self, a, b):
-        # h(a [+] b) == h(a) xor h(b) whenever a*b != 0
-        assert hard_decision(f_op(a, b)) == hard_decision(a) ^ hard_decision(b)
-
-
-class TestCombines:
-    def test_combine2(self):
-        assert combine2(1, 1) == (0, 1)
-        assert combine2(0, 0) == (0, 0)
-        assert combine2(1, 0) == (1, 0)
-
-    def test_combine3(self):
-        assert combine3(1, 0, 0) == (1, 1, 1)
-        assert combine3(0, 0, 0) == (0, 0, 0)
-        assert combine3(1, 1, 0) == (0, 1, 0)
-
-    def test_combine3_matches_t3(self):
-        for s in itertools.product((0, 1), repeat=3):
-            assert combine3(*s) == tuple(gf2_vecmat(s, T3))
-
-    def test_combine3_inv_examples(self):
-        assert combine3_inv(1, 1, 1) == (1, 0, 0)
-        assert combine3_inv(0, 1, 1) == (0, 0, 1)
-
-    def test_combine3_inv_roundtrip_exhaustive(self):
-        for s in itertools.product((0, 1), repeat=3):
-            assert combine3_inv(*combine3(*s)) == s
-
-    def test_combine3_inv_matches_inverse_generator(self):
-        g_inv = inverse_generator((3,))
-        for s in itertools.product((0, 1), repeat=3):
-            assert combine3_inv(*s) == tuple(gf2_vecmat(s, g_inv))
+        # h(a [+] b) == h(a) xor h(b) whenever a*b != 0, with h(v) = [v <= 0]
+        assert (f_op(a, b) <= 0) == ((a <= 0) ^ (b <= 0))
 
 
 def test_tree_spans():
@@ -175,6 +134,49 @@ class TestDecodeSC:
             SCDecoder(spec).decode([1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match="LLR 2 of frame 1 is NaN"):
             SCDecoder(spec).decode_batch([[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]])
+
+    @pytest.mark.parametrize("kv", [(2,), (3,), (2, 3), (3, 2, 2)], ids=str)
+    def test_zero_llr_decides_one(self, kv):
+        n = int(np.prod(kv))
+        spec = spec_with_frozen(kv, np.zeros(n))
+        u_hat, x_hat = SCDecoder(spec).decode(np.zeros(n))
+        assert u_hat.tolist() == [1] * n
+        assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kv", [(2,), (3,), (2, 3), (3, 2, 2), (2, 2, 2, 2, 2, 3)], ids=str)
+    def test_infinite_and_huge_llrs_saturate(self, kv, rng):
+        n = int(np.prod(kv))
+        frozen = (rng.random(n) < 0.5).astype(np.uint8)
+        spec = spec_with_frozen(kv, frozen)
+        u = expand_message(rng.integers(0, 2, (40, spec.k_bits), dtype=np.uint8), spec)
+        x = encode_recursive(u, spec)
+        # Noiseless frames whose bits are certain to various degrees decode exactly.
+        magnitude = rng.choice([np.inf, 1e308, 4.0], size=x.shape)
+        u_hat, x_hat = SCDecoder(spec).decode_batch(noiseless_llrs(x, magnitude))
+        assert np.array_equal(u_hat, u)
+        assert np.array_equal(x_hat, x)
+        # inf and 1e308 both exceed the saturation bound, so they decide alike.
+        signs = rng.choice([-1.0, 1.0], size=x.shape)
+        u_inf, x_inf = SCDecoder(spec).decode_batch(signs * np.inf)
+        u_big, x_big = SCDecoder(spec).decode_batch(signs * 1e308)
+        assert np.array_equal(u_inf, u_big) and np.array_equal(x_inf, x_big)
+        assert np.array_equal(x_inf, encode_recursive(u_inf, spec))
+
+    @pytest.mark.filterwarnings("error")
+    def test_conflicting_infinities_tie(self):
+        # x0 = x1 = u1 with LLRs (+inf, -inf): the g step sums to exactly 0, a tie.
+        u_hat, x_hat = SCDecoder(spec_with_frozen((2,), [1, 0])).decode([np.inf, -np.inf])
+        assert u_hat.tolist() == [0, 1]
+        assert x_hat.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("kv", [(2,), (3, 2), (2, 2, 3)], ids=str)
+    def test_empty_batch(self, kv):
+        n = int(np.prod(kv))
+        spec = spec_with_frozen(kv, np.arange(n) % 2)
+        u_hat, x_hat = SCDecoder(spec).decode_batch(np.zeros((0, n)))
+        for out in (u_hat, x_hat):
+            assert out.shape == (0, n) and out.dtype == np.uint8
 
     @pytest.mark.parametrize("kv", kernel_vectors(96, min_n=4), ids=str)
     def test_noiseless_roundtrip(self, kv, rng):
