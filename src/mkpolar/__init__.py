@@ -6,7 +6,7 @@ simulation and schedule analysis.
 """
 
 from .analysis import NodeCounts, latency_table, sc_node_count, schedule_stats
-from .channel import ChannelConfig, SimStats, StopRule, awgn_llr, modulate, run_fer
+from .channel import SimStats, StopRule, awgn_llr, modulate, noise_variance, run_fer
 from .construction import (
     CodeSpec,
     OrderingStrategy,

@@ -1,13 +1,16 @@
-"""BPSK over AWGN: modulation, LLR computation, Monte-Carlo FER/BER estimation.
+"""BPSK over AWGN: modulation, channel LLRs, Monte-Carlo FER/BER estimation.
 
+noise_variance gives sigma^2 = 1 / (2 R Eb/N0); awgn_llr gives the LLRs 2y / sigma^2.
 Frames are drawn in fixed blocks of BLOCK_FRAMES: frame f of SNR point p takes
 its message and noise from the RNG keyed on (seed, p, f // BLOCK_FRAMES), which
-draws the block's messages, then its noise. Results are therefore identical no
-matter how frames are batched or spread across workers.
+draws the block's messages, then its noise, and run_fer applies chunk tallies
+in frame order. Results are therefore identical no matter how frames are
+batched or spread across workers.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,31 +28,18 @@ BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
-    """AWGN channel operating point for BPSK (one bit per symbol)."""
-
-    ebn0_db: float
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rate < 1.0:
-            raise ValueError(f"rate must be in (0, 1), got {self.rate}")
-
-    @property
-    def ebn0_linear(self):
-        return ebn0_db_to_linear(self.ebn0_db)
-
-    @property
-    def sigma2(self):
-        return 1.0 / (2.0 * self.rate * self.ebn0_linear)
-
-
-@dataclass(frozen=True)
 class StopRule:
     """Stop a point once min_frame_errors are collected or max_frames simulated."""
 
     max_frames: int = 1_000_000
     min_frame_errors: int = 100
+
+    def __post_init__(self):
+        if min(self.max_frames, self.min_frame_errors) < 1:
+            raise ValueError(f"max_frames and min_frame_errors must be at least 1, got {self}")
+
+    def reached(self, point):
+        return point.frames >= self.max_frames or point.frame_errors >= self.min_frame_errors
 
 
 @dataclass
@@ -96,12 +86,14 @@ def modulate(bits):
     return 1.0 - 2.0 * np.asarray(bits, dtype=float)
 
 
-def awgn_llr(symbols, cfg, rng):
-    """Add N(0, sigma^2) noise and return channel LLRs 2y / sigma^2."""
-    symbols = np.asarray(symbols, dtype=float)
-    sigma2 = cfg.sigma2
-    y = symbols + rng.normal(0.0, np.sqrt(sigma2), size=symbols.shape)
-    return 2.0 * y / sigma2
+def noise_variance(ebn0_db, rate):
+    """AWGN noise variance sigma^2 = 1 / (2 R Eb/N0) of BPSK at ebn0_db."""
+    return 1.0 / (2.0 * rate * ebn0_db_to_linear(ebn0_db, rate))
+
+
+def awgn_llr(symbols, sigma2, noise):
+    """Channel LLRs 2y / sigma^2 of y = symbols + sigma * noise, noise ~ N(0, 1)."""
+    return 2.0 * (symbols + np.sqrt(sigma2) * noise) / sigma2
 
 
 def _make_decoder(kind, spec, limits):
@@ -112,7 +104,7 @@ def _make_decoder(kind, spec, limits):
     raise ValueError(f"unknown decoder kind {kind!r}; expected one of {DECODER_KINDS}")
 
 
-def _simulate_chunk(spec, decoder, sigma2, seed, point_index, start, count):
+def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
     n, k = spec.n_bits, spec.k_bits
     msgs = np.empty((count, k), dtype=np.uint8)
     noise = np.empty((count, n))
@@ -127,8 +119,7 @@ def _simulate_chunk(spec, decoder, sigma2, seed, point_index, start, count):
         noise[rows] = rng.standard_normal((BLOCK_FRAMES, n))[taken]
     u = expand_message(msgs, spec)
     x = stage_transform(u, spec.kernels)
-    llr = 2.0 * (modulate(x) + np.sqrt(sigma2) * noise) / sigma2
-    u_hat, _ = decoder.decode_batch(llr)
+    u_hat, _ = decoder.decode_batch(awgn_llr(modulate(x), sigma2, noise))
     bad = u_hat != u
     frame_errors = int(bad.any(axis=1).sum())
     bit_errors = int(bad[:, spec.info_indices].sum())
@@ -153,55 +144,40 @@ def run_fer(
     Random messages are used rather than the all-zero codeword, drawn with
     their noise from an RNG keyed on (seed, SNR point index, 64-frame block
     index). Results are reproducible for a given (seed, spec, snrs, stop),
-    independent of workers and batch_size.
+    independent of workers and batch_size. Raises ValueError for a degenerate
+    code, workers or batch_size below 1, or an Eb/N0 out of range.
     """
     if not 0 < spec.k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")
+    if workers < 1 or batch_size < 1:
+        raise ValueError(f"workers and batch_size must be at least 1, got {workers} and {batch_size}")
+    channels = [(ebn0_db, noise_variance(ebn0_db, spec.rate)) for ebn0_db in snrs]
     stats = SimStats(n_bits=spec.n_bits, k_bits=spec.k_bits, decoder=decoder, seed=seed)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for point_index, ebn0_db in enumerate(snrs):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = map if workers == 1 else pool.map
+        for point_index, (ebn0_db, sigma2) in enumerate(channels):
             point_spec = (
                 design_code(spec.kernels, spec.k_bits, ebn0_db=ebn0_db)
                 if redesign_per_snr
                 else spec
             )
-            sigma2 = ChannelConfig(ebn0_db=ebn0_db, rate=spec.k_bits / spec.n_bits).sigma2
-            decoders = [_make_decoder(decoder, point_spec, limits) for _ in range(max(workers, 1))]
+            simulate = partial(
+                _simulate_chunk, spec=point_spec, sigma2=sigma2, seed=seed, point_index=point_index
+            )
+            decoders = [_make_decoder(decoder, point_spec, limits) for _ in range(workers)]
             point = SnrPoint(ebn0_db=ebn0_db)
-            while point.frames < stop.max_frames and point.frame_errors < stop.min_frame_errors:
-                chunks = []
-                start = point.frames
-                for w in range(max(workers, 1)):
-                    count = min(batch_size, stop.max_frames - start)
-                    if count <= 0:
-                        break
-                    chunks.append((start, count, decoders[w]))
-                    start += count
-                if pool is not None and len(chunks) > 1:
-                    results = list(
-                        pool.map(
-                            lambda c: _simulate_chunk(
-                                point_spec, c[2], sigma2, seed, point_index, c[0], c[1]
-                            ),
-                            chunks,
-                        )
-                    )
-                else:
-                    results = [
-                        _simulate_chunk(point_spec, d, sigma2, seed, point_index, s, c)
-                        for s, c, d in chunks
-                    ]
+            while not stop.reached(point):
+                end = min(point.frames + workers * batch_size, stop.max_frames)
+                starts = range(point.frames, end, batch_size)
+                counts = [min(batch_size, end - start) for start in starts]
+                results = list(run(simulate, decoders, starts, counts))
                 # Apply chunk tallies in frame order and stop as soon as the
                 # rule is met, so totals do not depend on the worker count.
-                for (_, count, _), (fe, be) in zip(chunks, results):
+                for count, (frame_errors, bit_errors) in zip(counts, results):
                     point.frames += count
-                    point.frame_errors += fe
-                    point.bit_errors += be
-                    if point.frames >= stop.max_frames or point.frame_errors >= stop.min_frame_errors:
+                    point.frame_errors += frame_errors
+                    point.bit_errors += bit_errors
+                    if stop.reached(point):
                         break
             stats.points.append(point)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return stats

@@ -15,6 +15,7 @@ the working directory); other commands write to --out or stdout.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -189,8 +190,10 @@ def parse_snr_range(text):
         start, step, stop = (float(p) for p in parts)
         if step <= 0:
             raise CommandError("SNR step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 6) for i in range(max(count, 0)) if start + i * step <= stop + 1e-9)
+        span = (stop - start) / step + 1e-9
+        if not 0 <= span < math.inf:
+            raise CommandError(f"SNR range {text!r} is empty (stop below start) or unbounded")
+        return tuple(round(start + i * step, 6) for i in range(math.floor(span) + 1))
     return tuple(float(p) for p in text.split(","))
 
 

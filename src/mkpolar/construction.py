@@ -68,8 +68,22 @@ def _ga_children(z, k):
     return (z_left, w + z, 2.0 * z)
 
 
-def ebn0_db_to_linear(ebn0_db):
-    return 10.0 ** (ebn0_db / 10.0)
+def ebn0_db_to_linear(ebn0_db, rate):
+    """Linear Eb/N0 at code rate `rate`; the one conversion, shared by GA and the channel.
+
+    Raises ValueError unless 0 < rate < 1 and both 4*R*Eb/N0 (the GA's initial
+    mean and the channel's LLR scale 2/sigma^2) and its inverse are finite and positive.
+    """
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"rate must be in (0, 1), got {rate}")
+    try:
+        ebn0 = 10.0 ** (ebn0_db / 10.0)
+    except OverflowError:
+        ebn0 = math.inf
+    scale = 4.0 * rate * ebn0
+    if not (0.0 < scale < math.inf and 2.0 / scale < math.inf):
+        raise ValueError(f"Eb/N0 {ebn0_db} dB is out of range: 4*R*Eb/N0 = {scale:g} at R = {rate:g}")
+    return ebn0
 
 
 def ga_reliabilities(kv, rate, ebn0_db):
@@ -79,9 +93,7 @@ def ga_reliabilities(kv, rate, ebn0_db):
     decode tree; child order per stage is (left, [center,] right).
     """
     kv = validate_kernel_vector(kv)
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must be in (0, 1), got {rate}")
-    means = [4.0 * rate * ebn0_db_to_linear(ebn0_db)]
+    means = [4.0 * rate * ebn0_db_to_linear(ebn0_db, rate)]
     for k in kv:
         means = [child for z in means for child in _ga_children(z, k)]
     return np.array(means)

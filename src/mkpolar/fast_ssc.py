@@ -16,7 +16,10 @@ differ only in which nodes are recognized (and counted in Table 2).
 
 FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
 schedule's multi-bit leaves replace the subtrees they prune; Rate-1 and SPC
-leaves recover their sourceword bits by the inverse stage transform.
+leaves recover their sourceword bits by the inverse stage transform. They
+decide a tied (zero) LLR on the codeword bit, where SC decides the sourceword
+bit, so without SPC the decoder is bit-exact to SC for tie-free LLRs only; on
+ties both return valid codewords.
 """
 
 from dataclasses import dataclass, field

@@ -6,7 +6,8 @@ kernel, and leaves are single sourceword bits. Binary nodes apply the f and g
 LLR maps to their left and right children; ternary nodes apply lambda0/1/2 to
 left, center and right. Partial sums travel back up through the node's kernel
 (kernels.apply_kernel). LLR sign convention: positive means bit 0; an LLR of
-exactly zero decides 1 on an unfrozen bit.
+exactly zero decides 1 on an unfrozen bit. Fast-SSC without SPC is bit-exact
+to SC for tie-free LLRs only (see fast_ssc.py).
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same

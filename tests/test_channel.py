@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mkpolar.channel import ChannelConfig, StopRule, awgn_llr, modulate, run_fer
+from mkpolar.channel import StopRule, awgn_llr, modulate, noise_variance, run_fer
 from mkpolar.construction import design_code
 
 
@@ -15,35 +15,52 @@ class TestModulate:
         assert (modulate(np.zeros(8, dtype=np.uint8)) == 1.0).all()
 
 
-class TestChannelConfig:
+# Each is rejected because 4*R*Eb/N0 or its inverse is 0 or not finite; the
+# last two are finite and positive but their sigma^2 = 2/(4*R*Eb/N0) overflows.
+BAD_EBN0_DB = (-math.inf, -4000.0, 4000.0, math.inf, 3080.0, math.nan, -3100.0, -3084.0)
+
+
+class TestNoiseVariance:
     def test_sigma2_identity(self):
         # Eb/N0 = 2.0 linear at R = 1/2: sigma^2 = 1/(2*R*EbN0) = 0.5 and the
         # LLR mean 2/sigma^2 = 4 equals the GA initialization 4*R*EbN0.
-        cfg = ChannelConfig(ebn0_db=10 * np.log10(2.0), rate=0.5)
-        assert cfg.sigma2 == pytest.approx(0.5, rel=1e-12)
-        assert 2.0 / cfg.sigma2 == pytest.approx(4 * 0.5 * 2.0, rel=1e-12)
+        sigma2 = noise_variance(10 * np.log10(2.0), 0.5)
+        assert sigma2 == pytest.approx(0.5, rel=1e-12)
+        assert 2.0 / sigma2 == pytest.approx(4 * 0.5 * 2.0, rel=1e-12)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            ChannelConfig(ebn0_db=3.0, rate=1.0)
+            noise_variance(3.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ebn0_db", BAD_EBN0_DB)
+    def test_rejects_ebn0_out_of_range(self, ebn0_db):
+        with pytest.raises(ValueError, match="out of range"):
+            noise_variance(ebn0_db, 0.5)
 
 
 class TestAwgnLlr:
     def test_near_noiseless_preserves_signs(self):
-        cfg = ChannelConfig(ebn0_db=40.0, rate=0.5)
-        rng = np.random.default_rng(0)
+        sigma2 = noise_variance(40.0, 0.5)
         symbols = modulate([0, 1, 1, 0, 1])
-        llr = awgn_llr(symbols, cfg, rng)
+        llr = awgn_llr(symbols, sigma2, np.random.default_rng(0).standard_normal(symbols.shape))
         assert (np.sign(llr) == symbols).all()
 
     def test_empirical_mean(self):
-        cfg = ChannelConfig(ebn0_db=2.0, rate=0.5)
-        rng = np.random.default_rng(7)
+        sigma2 = noise_variance(2.0, 0.5)
         n = 100_000
-        llr = awgn_llr(np.ones(n), cfg, rng)
-        expected = 2.0 / cfg.sigma2
-        sample_sigma = np.sqrt(4.0 / cfg.sigma2)  # llr variance is 4/sigma^2
+        llr = awgn_llr(np.ones(n), sigma2, np.random.default_rng(7).standard_normal(n))
+        expected = 2.0 / sigma2
+        sample_sigma = np.sqrt(4.0 / sigma2)  # llr variance is 4/sigma^2
         assert llr.mean() == pytest.approx(expected, abs=3 * sample_sigma / np.sqrt(n))
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("fields", [dict(max_frames=0), dict(min_frame_errors=0),
+                                        dict(max_frames=-5)])
+    def test_rejects_fields_below_one(self, fields):
+        with pytest.raises(ValueError, match="at least 1"):
+            StopRule(**fields)
 
 
 class TestRunFer:
@@ -149,3 +166,16 @@ class TestRunFer:
         spec = design_code((2, 3), 0)
         with pytest.raises(ValueError):
             run_fer(spec, snrs=(3.0,))
+
+    @pytest.mark.parametrize("kw", [dict(workers=0), dict(batch_size=0), dict(batch_size=-1)])
+    def test_rejects_workers_or_batch_size_below_one(self, spec96, kw):
+        # a batch of 0 frames would never advance the point
+        with pytest.raises(ValueError, match="at least 1"):
+            run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), **kw)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ebn0_db", BAD_EBN0_DB)
+    def test_rejects_ebn0_out_of_range(self, spec96, ebn0_db):
+        # A bad point after a good one is rejected too.
+        with pytest.raises(ValueError, match="out of range"):
+            run_fer(spec96, snrs=(3.0, ebn0_db), stop=StopRule(max_frames=64))

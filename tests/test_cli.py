@@ -178,9 +178,44 @@ class TestSimulate:
 
     def test_snr_parsing(self):
         assert cli.parse_snr_range("1:0.5:4") == (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+        assert cli.parse_snr_range("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
+        assert cli.parse_snr_range("1:0.5:3.75") == (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+        assert cli.parse_snr_range("2:1:2") == (2.0,)
         assert cli.parse_snr_range("2,3,4") == (2.0, 3.0, 4.0)
         with pytest.raises(cli.CommandError):
             cli.parse_snr_range("1:2")
+        for text in ("4:0.5:1", "0:5e-324:1", "nan:1:2"):
+            with pytest.raises(cli.CommandError, match="empty"):
+                cli.parse_snr_range(text)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "extra,complaint",
+        [
+            (["--max-frames", "0"], "max_frames"),
+            (["--min-errors", "0"], "min_frame_errors"),
+            (["--workers", "0"], "workers"),
+            (["--snr=-inf"], "out of range"),
+            (["--snr=-4000"], "out of range"),
+            (["--snr", "4000"], "out of range"),
+            (["--snr", "inf"], "out of range"),
+            (["--snr", "3080"], "out of range"),
+            (["--snr", "4:0.5:1"], "empty"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_bad_input_is_one_line_usage_error(self, capsys, extra, complaint):
+        args = ["simulate", "--n", "6", "--k", "3", "--snr", "4", "--max-frames", "64"]
+        assert run_cli(args + extra) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and complaint in err[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_construct_rejects_ebn0_out_of_range(self, tmp_path, capsys):
+        args = ["construct", "--n", "6", "--k", "3", "--ebn0", "4000", "--out", str(tmp_path)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "out of range" in err[0]
 
 
 class TestAnalyze:

@@ -113,6 +113,15 @@ class TestGaReliabilities:
             with pytest.raises(ValueError):
                 ga_reliabilities((2,), rate, 3.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ebn0_db", (-np.inf, -4000.0, 3080.0, 4000.0, np.inf, np.nan))
+    def test_rejects_ebn0_out_of_range(self, ebn0_db):
+        # -inf and -4000 dB give Eb/N0 = 0; from 3080 dB up 4*R*Eb/N0 is infinite
+        with pytest.raises(ValueError, match="out of range"):
+            ga_reliabilities((2, 3), 0.5, ebn0_db)
+        with pytest.raises(ValueError, match="out of range"):
+            construct_code(96, 48, OrderingStrategy.HIGHEST_RELIABILITY, ebn0_db=ebn0_db)
+
 
 class TestSelectFrozen:
     def test_smallest_frozen(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkpolar.construction import design_code
+from mkpolar.construction import construct_code, design_code
 from mkpolar.encoding import encode_recursive, expand_message
 from mkpolar.fast_ssc import (
     FastSSCDecoder,
@@ -279,6 +279,23 @@ class TestFastDecoder:
         u_f, x_f = fast.decode_batch(llr)
         assert np.array_equal(u_f, u_sc)
         assert np.array_equal(x_f, x_sc)
+
+    @pytest.mark.parametrize("n", (96, 432))
+    def test_tied_llrs_give_valid_codewords(self, n, rng):
+        # A Rate-1 or SPC leaf breaks LLR ties (exactly 0) unlike SC, so the
+        # decoders agree bit for bit only on tie-free LLRs; on ties each still
+        # returns a codeword: x_hat = u_hat G with every frozen bit zero.
+        spec = construct_code(n, n // 2, "last")
+        _, noisy = _random_noisy_frames(spec, 200, rng)
+        rounded = np.rint(noisy)
+        assert (rounded == 0).any()
+        decoders = (SCDecoder(spec), FastSSCDecoder(spec),
+                    FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0)))
+        for llr in (np.zeros((1, n)), rounded):
+            for decoder in decoders:
+                u_hat, x_hat = decoder.decode_batch(llr)
+                assert not u_hat[:, spec.frozen_indices].any()
+                assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
 
     def test_noiseless_exact(self, rng):
         spec = design_code((3, 2, 2, 3), 18)

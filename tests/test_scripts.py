@@ -1,0 +1,32 @@
+"""The experiment scripts run end to end on a small code."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from mkpolar.cli import FER_FIELDS
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,extra,outputs",
+    [
+        ("fer_sweep.py", ["--k", "48"],
+         ["fer_N96_K48_last_sc.csv", "fer_N96_K48_last_fastssc.csv"]),
+        ("kernel_order_compare.py", ["--rates", "0.5"],
+         ["fer_N96_K48_last.csv", "fer_N96_K48_first.csv"]),
+    ],
+)
+def test_script_writes_one_row_per_snr(tmp_path, monkeypatch, capsys, script, extra, outputs):
+    prefix = tmp_path / "fer"
+    argv = [script, "--n", "96", "--snr", "3", "--max-frames", "64", "--prefix", str(prefix)]
+    monkeypatch.setattr(sys, "argv", argv + extra)
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert "3.00" in capsys.readouterr().out
+    for name in outputs:
+        header, row = (tmp_path / name).read_text().strip().splitlines()
+        assert header == ",".join(FER_FIELDS)
+        assert row.split(",")[:2] == ["3", "64"]
