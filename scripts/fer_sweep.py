@@ -8,7 +8,7 @@ per decoder and prints a side-by-side summary.
 import argparse
 
 from mkpolar.channel import StopRule, run_fer
-from mkpolar.cli import FER_FIELDS, emit_report, parse_snr_range
+from mkpolar.cli import FER_FIELDS, ORDERINGS, emit_report, parse_snr_range
 from mkpolar.construction import construct_code
 
 
@@ -16,7 +16,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=96)
     parser.add_argument("--k", type=int, default=48)
-    parser.add_argument("--order", choices=("last", "first", "hr"), default="last")
+    parser.add_argument("--order", choices=sorted(ORDERINGS), default="last")
     parser.add_argument("--snr", default="1:0.5:4", help="Eb/N0 sweep start:step:stop in dB")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-errors", type=int, default=100)
@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--prefix", default="fer", help="output file prefix")
     args = parser.parse_args()
 
-    spec = construct_code(args.n, args.k, {"hr": "highest_reliability"}.get(args.order, args.order))
+    spec = construct_code(args.n, args.k, ORDERINGS[args.order])
     snrs = parse_snr_range(args.snr)
     stop = StopRule(max_frames=args.max_frames, min_frame_errors=args.min_errors)
 

@@ -8,7 +8,7 @@ frozen set per point, and writes one CSV per (rate, ordering) series.
 import argparse
 
 from mkpolar.channel import StopRule, run_fer
-from mkpolar.cli import FER_FIELDS, emit_report, parse_snr_range
+from mkpolar.cli import FER_FIELDS, ORDERINGS, emit_report, parse_snr_range
 from mkpolar.construction import construct_code
 
 
@@ -16,7 +16,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=432)
     parser.add_argument("--rates", default="0.25,0.5,0.75")
-    parser.add_argument("--orders", default="last,first")
+    parser.add_argument("--orders", default="last,first", help="comma list of first, last, hr")
     parser.add_argument("--snr", default="1:0.5:3.5")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-errors", type=int, default=100)
@@ -26,7 +26,10 @@ def main():
 
     snrs = parse_snr_range(args.snr)
     stop = StopRule(max_frames=args.max_frames, min_frame_errors=args.min_errors)
-    orders = [{"hr": "highest_reliability"}.get(o, o) for o in args.orders.split(",")]
+    names = args.orders.split(",")
+    if not set(names) <= set(ORDERINGS):
+        parser.error(f"--orders takes a comma list of {', '.join(sorted(ORDERINGS))}")
+    orders = [ORDERINGS[o] for o in names]
 
     for rate in (float(r) for r in args.rates.split(",")):
         k = round(args.n * rate)

@@ -7,7 +7,7 @@ costs the number of non-root tree nodes; the pruned schedule costs its
 non-root node count plus one per multi-bit fast leaf.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construction import DEFAULT_DESIGN_EBN0_DB, construct_code
 from .fast_ssc import NodeClass, build_schedule
@@ -96,15 +96,7 @@ def latency_row(spec, limits=None, ordering=None):
         "N": spec.n_bits,
         "R": spec.k_bits / spec.n_bits,
         "ordering": ordering or ordering_label(spec.kernels),
-        "sc_nodes": counts.sc_nodes,
-        "fast_nodes": counts.fast_nodes,
-        "r0": counts.r0,
-        "r1": counts.r1,
-        "spc": counts.spc,
-        "rep2": counts.rep2,
-        "rep3a": counts.rep3a,
-        "rep3b": counts.rep3b,
-        "rep3c": counts.rep3c,
+        **asdict(counts),
         "reduction_pct": round(counts.reduction_pct, 1),
     }
 

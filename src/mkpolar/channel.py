@@ -9,14 +9,14 @@ batched or spread across workers.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .construction import design_code, ebn0_db_to_linear
 from .encoding import expand_message
-from .fast_ssc import FastSSCDecoder, NodeLimits
+from .fast_ssc import FastSSCDecoder
 from .kernels import stage_transform
 from .sc import SCDecoder
 
@@ -25,6 +25,9 @@ DECODER_KINDS = ("sc", "fastssc")
 # Frames per RNG key. One generator per frame cost more than decoding at small
 # N; a block of 64 amortises its construction. Changing this changes the stream.
 BLOCK_FRAMES = 64
+
+# Each worker is a thread with its own decoder and buffers (tens of MB at N=2304).
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,7 @@ class SimStats:
     points: list = field(default_factory=list)
 
     def rows(self):
-        return [
-            {
-                "ebn0_db": p.ebn0_db,
-                "frames": p.frames,
-                "frame_errors": p.frame_errors,
-                "bit_errors": p.bit_errors,
-                "fer": p.fer,
-                "ber": p.ber(self.k_bits),
-            }
-            for p in self.points
-        ]
+        return [{**asdict(p), "fer": p.fer, "ber": p.ber(self.k_bits)} for p in self.points]
 
 
 def modulate(bits):
@@ -96,11 +89,15 @@ def awgn_llr(symbols, sigma2, noise):
     return 2.0 * (symbols + np.sqrt(sigma2) * noise) / sigma2
 
 
-def _make_decoder(kind, spec, limits):
+def _make_decoders(kind, spec, limits, count):
+    """count decoders of one code; Fast-SSC decoders share one immutable schedule."""
     if kind == "sc":
-        return SCDecoder(spec)
+        return [SCDecoder(spec) for _ in range(count)]
     if kind == "fastssc":
-        return FastSSCDecoder(spec, limits=limits or NodeLimits())
+        first = FastSSCDecoder(spec, limits=limits)
+        return [first] + [
+            FastSSCDecoder(spec, first.limits, first.schedule) for _ in range(count - 1)
+        ]
     raise ValueError(f"unknown decoder kind {kind!r}; expected one of {DECODER_KINDS}")
 
 
@@ -145,12 +142,15 @@ def run_fer(
     their noise from an RNG keyed on (seed, SNR point index, 64-frame block
     index). Results are reproducible for a given (seed, spec, snrs, stop),
     independent of workers and batch_size. Raises ValueError for a degenerate
-    code, workers or batch_size below 1, or an Eb/N0 out of range.
+    code, workers outside 1..MAX_WORKERS, batch_size below 1, or an Eb/N0 out
+    of range.
     """
     if not 0 < spec.k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")
-    if workers < 1 or batch_size < 1:
-        raise ValueError(f"workers and batch_size must be at least 1, got {workers} and {batch_size}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be at least 1 and at most {MAX_WORKERS}, got {workers}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     channels = [(ebn0_db, noise_variance(ebn0_db, spec.rate)) for ebn0_db in snrs]
     stats = SimStats(n_bits=spec.n_bits, k_bits=spec.k_bits, decoder=decoder, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -164,7 +164,7 @@ def run_fer(
             simulate = partial(
                 _simulate_chunk, spec=point_spec, sigma2=sigma2, seed=seed, point_index=point_index
             )
-            decoders = [_make_decoder(decoder, point_spec, limits) for _ in range(workers)]
+            decoders = _make_decoders(decoder, point_spec, limits, workers)
             point = SnrPoint(ebn0_db=ebn0_db)
             while not stop.reached(point):
                 end = min(point.frames + workers * batch_size, stop.max_frames)

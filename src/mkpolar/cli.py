@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +39,10 @@ from .sc import SCDecoder
 
 FER_FIELDS = ("ebn0_db", "frames", "frame_errors", "bit_errors", "fer", "ber")
 ANALYSIS_FIELDS = (
-    "N",
-    "R",
-    "ordering",
-    "sc_nodes",
-    "fast_nodes",
-    "r0",
-    "r1",
-    "spc",
-    "rep2",
-    "rep3a",
-    "rep3b",
-    "rep3c",
-    "reduction_pct",
+    "N", "R", "ordering", *(f.name for f in fields(analysis.NodeCounts)), "reduction_pct"
 )
+
+MAX_SNR_POINTS = 10_000
 
 ORDERINGS = {
     "first": OrderingStrategy.FIRST,
@@ -182,7 +173,10 @@ def _read_llrs(path):
 
 
 def parse_snr_range(text):
-    """Parse '1:0.5:4' (start:step:stop, inclusive) or a comma list '2,3,4'."""
+    """Parse '1:0.5:4' (start:step:stop, inclusive) or a comma list '2,3,4'.
+
+    At most MAX_SNR_POINTS points; a range is counted before any is built.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -193,8 +187,16 @@ def parse_snr_range(text):
         span = (stop - start) / step + 1e-9
         if not 0 <= span < math.inf:
             raise CommandError(f"SNR range {text!r} is empty (stop below start) or unbounded")
-        return tuple(round(start + i * step, 6) for i in range(math.floor(span) + 1))
-    return tuple(float(p) for p in text.split(","))
+        count = math.floor(span) + 1
+        points = (round(start + i * step, 6) for i in range(count))
+    else:
+        count = text.count(",") + 1
+        points = (float(p) for p in text.split(","))
+    if count > MAX_SNR_POINTS:
+        raise CommandError(
+            f"SNR range {text!r} has {count} points; at most {MAX_SNR_POINTS} are allowed"
+        )
+    return tuple(points)
 
 
 def cmd_construct(args):

@@ -11,10 +11,12 @@ and at a ternary stage
     z_left = phi_inv(1 - (1 - phi(w))(1 - phi(z)))   children (z_left, w + z, 2z)
 
 where phi and its inverse use the standard two-branch exponential
-approximations. The K most reliable leaves form the information set.
+approximations (Trifonov, IEEE TCOM 2012). The K most reliable leaves form
+the information set. GA evolves a whole stage at once over numpy arrays; the
+means after stage j depend only on the first j kernels, so highest-reliability
+ordering computes each kernel prefix's means once.
 """
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -38,34 +40,47 @@ _FLOOR = sys.float_info.min
 DEFAULT_DESIGN_EBN0_DB = 3.0
 
 
+def _phi(x):
+    """phi over an array of means x >= 0; the small-x branch sees clamped inputs."""
+    xs = np.minimum(x, _PHI_X_SPLIT)  # its polynomial would overflow exp at large x
+    small = np.exp(0.0564 * xs * xs - 0.485 * xs)
+    large = np.maximum(np.exp(_ALPHA * x**_GAMMA + _BETA), _FLOOR)
+    return np.where(x < _PHI_X_SPLIT, small, large)
+
+
+def _phi_inv(y):
+    """phi_inv over an array y in (0, 1]; the sqrt branch sees clamped inputs."""
+    log_y = np.log(y)
+    near_one = 4.3049 * (1.0 - np.sqrt(np.maximum(1.0 + 0.9567 * log_y, 0.0)))
+    return np.where(y > _PHI_INV_Y_SPLIT, near_one, (_A * log_y + _B) ** _C)
+
+
 def phi(x):
     """Mean-to-expectation proxy phi(x), approximated in two branches."""
     if x < 0:
         raise ValueError(f"phi requires x >= 0, got {x}")
-    if x < _PHI_X_SPLIT:
-        return math.exp(0.0564 * x * x - 0.485 * x)
-    return max(math.exp(_ALPHA * x**_GAMMA + _BETA), _FLOOR)
+    return float(_phi(np.array([x], dtype=float))[0])
 
 
 def phi_inv(y):
     """Inverse of phi on (0, 1], approximated in two branches."""
     if not 0.0 < y <= 1.0:
         raise ValueError(f"phi_inv requires 0 < y <= 1, got {y}")
-    if y > _PHI_INV_Y_SPLIT:
-        return 4.3049 * (1.0 - math.sqrt(1.0 + 0.9567 * math.log(y)))
-    return (_A * math.log(y) + _B) ** _C
+    return float(_phi_inv(np.array([y], dtype=float))[0])
 
 
-def _ga_children(z, k):
+def _ga_stage(z, k):
+    """Means of every node's k children, interleaved as (left, [center,] right)."""
     # 1 - (1-p)^2 is computed as p*(2-p): the naive form cancels to zero in
     # double precision once p < 2^-53, long before phi itself underflows.
-    p = phi(z)
-    w = phi_inv(max(p * (2.0 - p), _FLOOR))
+    p = _phi(z)
+    w = _phi_inv(np.maximum(p * (2.0 - p), _FLOOR))
     if k == 2:
-        return (w, 2.0 * z)
-    pw = phi(w)
-    z_left = phi_inv(max(pw + p - pw * p, _FLOOR))
-    return (z_left, w + z, 2.0 * z)
+        children = (w, 2.0 * z)
+    else:
+        pw = _phi(w)
+        children = (_phi_inv(np.maximum(pw + p - pw * p, _FLOOR)), w + z, 2.0 * z)
+    return np.column_stack(children).ravel()
 
 
 def ebn0_db_to_linear(ebn0_db, rate):
@@ -86,6 +101,10 @@ def ebn0_db_to_linear(ebn0_db, rate):
     return ebn0
 
 
+def _initial_mean(rate, ebn0_db):
+    return np.array([4.0 * rate * ebn0_db_to_linear(ebn0_db, rate)])
+
+
 def ga_reliabilities(kv, rate, ebn0_db):
     """Per-leaf LLR means of the N synthetic channels, in leaf-index order.
 
@@ -93,10 +112,25 @@ def ga_reliabilities(kv, rate, ebn0_db):
     decode tree; child order per stage is (left, [center,] right).
     """
     kv = validate_kernel_vector(kv)
-    means = [4.0 * rate * ebn0_db_to_linear(ebn0_db, rate)]
+    z = _initial_mean(rate, ebn0_db)
     for k in kv:
-        means = [child for z in means for child in _ga_children(z, k)]
-    return np.array(means)
+        z = _ga_stage(z, k)
+    return z
+
+
+def _arrangements(z, n_two, n_three):
+    """Yield (kv, means) for each arrangement of the kernels left below means z.
+
+    A 3 goes before a 2 at each slot (itertools.combinations order over the
+    ternary positions); each prefix's means are shared by all its extensions.
+    """
+    if n_two == n_three == 0:
+        yield (), z
+        return
+    for k, left_two, left_three in ((3, n_two, n_three - 1), (2, n_two - 1, n_three)):
+        if left_two >= 0 and left_three >= 0:
+            for kv, means in _arrangements(_ga_stage(z, k), left_two, left_three):
+                yield (k,) + kv, means
 
 
 def select_frozen(z, k_bits):
@@ -130,7 +164,9 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
     FIRST puts every ternary kernel before the binary ones, LAST after them.
     HIGHEST_RELIABILITY scores each distinct arrangement by the sum of the K
     largest GA means (K = round(rate * N)) and returns the best; ties keep
-    the lexicographically first arrangement.
+    the arrangement whose ternary positions come first in
+    itertools.combinations order, i.e. a 3 before a 2 at the first slot
+    where two arrangements differ.
     """
     if n_two < 0 or n_three < 0 or n_two + n_three < 1:
         raise ValueError(f"need at least one kernel, got n_two={n_two}, n_three={n_three}")
@@ -141,15 +177,10 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
     if strategy != OrderingStrategy.HIGHEST_RELIABILITY:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
 
-    if n_two == 0 or n_three == 0:
-        return (2,) * n_two + (3,) * n_three
-    slots = n_two + n_three
     n = 2**n_two * 3**n_three
     k_bits = round(rate * n)
     best_kv, best_score = None, -math.inf
-    for pos in itertools.combinations(range(slots), n_three):
-        kv = tuple(3 if i in pos else 2 for i in range(slots))
-        z = ga_reliabilities(kv, rate, ebn0_db)
+    for kv, z in _arrangements(_initial_mean(rate, ebn0_db), n_two, n_three):
         score = np.sort(z)[n - k_bits :].sum()
         if score > best_score:
             best_kv, best_score = kv, score

@@ -24,10 +24,11 @@ ties both return valid codewords.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import prod
 
 import numpy as np
 
-from .kernels import KERNELS, code_length, stage_transform, validate_kernel_vector
+from .kernels import KERNELS, stage_transform, validate_kernel_vector
 # The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
 from .sc import _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
@@ -73,10 +74,9 @@ def rep_pattern(kv_sub):
 
     Equals the last generator row, i.e. the codeword of (0, ..., 0, 1).
     """
-    kv_sub = validate_kernel_vector(kv_sub)
-    pat = np.array([1], dtype=np.uint8)
-    for k in kv_sub:
-        pat = np.kron(pat, KERNELS[k][-1])
+    pat = np.ones(1, dtype=np.uint8)
+    for k in validate_kernel_vector(kv_sub):
+        pat = np.multiply.outer(pat, KERNELS[k][-1]).ravel()
     return pat
 
 
@@ -91,10 +91,10 @@ def classify_node(frozen_span, kv_sub, limits=None):
     span = len(mask)
     if span < 2:
         raise ValueError("classify_node requires span >= 2")
-    if span != code_length(kv_sub):
+    if span != prod(kv_sub):
         raise ValueError(f"mask length {span} does not match kernel product")
 
-    n_frozen = int(mask.sum())
+    n_frozen = np.count_nonzero(mask)
     if n_frozen == span:
         return NodeClass.RATE0
     if n_frozen == 0:

@@ -1,8 +1,11 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mkpolar.construction import CodeSpec, design_code
+from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
 from mkpolar.kernels import code_length, generator_matrix, gf2_vecmat, inverse_generator
 
 
@@ -77,3 +80,40 @@ def rng():
 @pytest.fixture
 def spec96():
     return design_code((2, 2, 2, 2, 2, 3), 48)
+
+
+# Scalar Gaussian approximation, one synthetic channel at a time: the oracle
+# for the array GA in mkpolar.construction.
+_ALPHA, _BETA, _GAMMA = -0.4527, 0.0218, 0.86
+_FLOOR = sys.float_info.min
+
+
+def scalar_phi(x):
+    if x < 0.8678:
+        return math.exp(0.0564 * x * x - 0.485 * x)
+    return max(math.exp(_ALPHA * x**_GAMMA + _BETA), _FLOOR)
+
+
+def scalar_phi_inv(y):
+    if y > 0.6846:
+        return 4.3049 * (1.0 - math.sqrt(1.0 + 0.9567 * math.log(y)))
+    return (1.0 / _ALPHA * math.log(y) - _BETA / _ALPHA) ** (1.0 / _GAMMA)
+
+
+def _scalar_ga_children(z, k):
+    p = scalar_phi(z)
+    w = scalar_phi_inv(max(p * (2.0 - p), _FLOOR))
+    if k == 2:
+        return (w, 2.0 * z)
+    pw = scalar_phi(w)
+    z_left = scalar_phi_inv(max(pw + p - pw * p, _FLOOR))
+    return (z_left, w + z, 2.0 * z)
+
+
+def scalar_ga_reliabilities(kv, rate, ebn0_db):
+    """Per-leaf GA means, evolving each node's mean on its own."""
+    means = [4.0 * rate * ebn0_db_to_linear(ebn0_db, rate)]
+    for k in kv:
+        means = [child for z in means for child in _scalar_ga_children(z, k)]
+    return np.array(means)
+

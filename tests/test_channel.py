@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mkpolar import channel, fast_ssc
 from mkpolar.channel import StopRule, awgn_llr, modulate, noise_variance, run_fer
 from mkpolar.construction import design_code
 
@@ -31,6 +32,20 @@ class TestNoiseVariance:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             noise_variance(3.0, 1.0)
+
+    def test_workers_cap_is_checked_before_any_pool(self, spec96, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"at most {channel.MAX_WORKERS}"):
+            run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), workers=channel.MAX_WORKERS + 1)
+
+    def test_workers_cap_is_inclusive(self):
+        # One 64-frame chunk: the pool starts one thread, whatever the worker count.
+        spec = design_code((2, 3), 3)
+        stats = run_fer(spec, snrs=(3.0,), stop=StopRule(max_frames=64), workers=channel.MAX_WORKERS)
+        assert stats.points[0].frames == 64
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ebn0_db", BAD_EBN0_DB)
@@ -99,6 +114,27 @@ class TestRunFer:
         a = run_fer(spec96, workers=1, **kw)
         b = run_fer(spec96, workers=3, **kw)
         assert [p.__dict__ for p in a.points] == [p.__dict__ for p in b.points]
+
+    def test_one_schedule_per_snr_point(self, spec96, monkeypatch):
+        # Fast-SSC workers of one point share its schedule, and the tallies
+        # equal those of one schedule per worker.
+        calls = []
+        build = fast_ssc.build_schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fast_ssc, "build_schedule", counted)
+        stop = StopRule(max_frames=600, min_frame_errors=40)
+        stats = run_fer(
+            spec96, decoder="fastssc", snrs=(2.0, 3.0), stop=stop, workers=3, seed=21, batch_size=128
+        )
+        assert len(calls) == 2
+        assert [p.__dict__ for p in stats.points] == [
+            {"ebn0_db": 2.0, "frames": 256, "frame_errors": 54, "bit_errors": 670},
+            {"ebn0_db": 3.0, "frames": 600, "frame_errors": 27, "bit_errors": 331},
+        ]
 
     def test_reproducible_across_batch_sizes(self, spec96):
         # 1000 frames is no multiple of the 64-frame RNG block, and batches of

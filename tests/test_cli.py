@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mkpolar import cli
+from mkpolar import channel, cli
 from mkpolar.construction import construct_code
 from mkpolar.encoding import encode_message
 
@@ -205,6 +205,31 @@ class TestSimulate:
         ids=lambda v: v if isinstance(v, str) else " ".join(v),
     )
     def test_bad_input_is_one_line_usage_error(self, capsys, extra, complaint):
+        args = ["simulate", "--n", "6", "--k", "3", "--snr", "4", "--max-frames", "64"]
+        assert run_cli(args + extra) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and complaint in err[0]
+
+    def test_snr_point_count_is_capped(self):
+        assert len(cli.parse_snr_range(f"0:1:{cli.MAX_SNR_POINTS - 1}")) == cli.MAX_SNR_POINTS
+        with pytest.raises(cli.CommandError, match="points"):
+            cli.parse_snr_range(",".join(["2"] * (cli.MAX_SNR_POINTS + 1)))
+
+    @pytest.mark.parametrize(
+        "extra,complaint",
+        [
+            # about 10^15 points: counted, never built
+            (["--snr", "0:1e-12:1000"], "at most 10000"),
+            (["--workers", "65"], "at most 64"),
+            (["--workers", str(10**9)], "at most 64"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_request_caps_start_no_thread(self, capsys, monkeypatch, extra, complaint):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", no_pool)
         args = ["simulate", "--n", "6", "--k", "3", "--snr", "4", "--max-frames", "64"]
         assert run_cli(args + extra) == 2
         err = capsys.readouterr().err.strip().splitlines()

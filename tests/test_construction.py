@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,13 @@ from mkpolar.construction import (
     select_frozen,
 )
 
-from conftest import kernel_vectors
+from conftest import (
+    kernel_vectors,
+    scalar_ga_reliabilities,
+    scalar_phi,
+    scalar_phi_inv,
+)
+from mkpolar.kernels import factor_length
 
 
 class TestPhi:
@@ -123,6 +131,49 @@ class TestGaReliabilities:
             construct_code(96, 48, OrderingStrategy.HIGHEST_RELIABILITY, ebn0_db=ebn0_db)
 
 
+class TestArrayGaMatchesScalarOracle:
+    """The array GA against the scalar GA it replaced (tests/conftest.py)."""
+
+    def test_phi_and_phi_inv(self):
+        for x in np.concatenate([np.arange(0.0, 30.0, 0.01), [0.8678, 1e3, 1e6]]):
+            assert phi(x) == pytest.approx(scalar_phi(x), rel=1e-12)
+        for y in np.concatenate([np.linspace(1e-300, 1.0, 3001)[1:], [0.6846, 1e-300]]):
+            assert phi_inv(y) == pytest.approx(scalar_phi_inv(y), rel=1e-12)
+
+    @pytest.mark.parametrize("n", (96, 432, 768, 2304))
+    def test_frozen_sets_and_orderings_over_grid(self, n):
+        n_two, n_three = factor_length(n)
+        slots = n_two + n_three
+        arrangements = [
+            tuple(3 if i in pos else 2 for i in range(slots))
+            for pos in itertools.combinations(range(slots), n_three)
+        ]
+        for rate, ebn0_db in itertools.product((0.25, 0.5, 0.75), (1.0, 2.0, 3.0)):
+            k_bits = round(rate * n)
+            # highest_reliability by one scalar GA per arrangement, in
+            # combinations order, keeping the first of equal scores
+            best_kv, best_score = None, -np.inf
+            for kv in arrangements:
+                z = ga_reliabilities(kv, rate, ebn0_db)
+                oracle = scalar_ga_reliabilities(kv, rate, ebn0_db)
+                np.testing.assert_allclose(z, oracle, rtol=1e-7, atol=1e-9)
+                assert np.array_equal(select_frozen(z, k_bits), select_frozen(oracle, k_bits))
+                score = np.sort(oracle)[n - k_bits :].sum()
+                if score > best_score:
+                    best_kv, best_score = kv, score
+            got = order_kernels(n_two, n_three, OrderingStrategy.HIGHEST_RELIABILITY, rate, ebn0_db)
+            assert got == best_kv
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ebn0_db", (-10.0, 30.0))
+    def test_no_warning_at_extreme_means(self, ebn0_db):
+        kv = (2,) * 8 + (3, 3)
+        z = ga_reliabilities(kv, 0.5, ebn0_db)
+        assert np.isfinite(z).all() and (z >= 0).all()
+        np.testing.assert_allclose(z, scalar_ga_reliabilities(kv, 0.5, ebn0_db), rtol=1e-7, atol=1e-9)
+        order_kernels(8, 2, OrderingStrategy.HIGHEST_RELIABILITY, 0.5, ebn0_db)
+
+
 class TestSelectFrozen:
     def test_smallest_frozen(self):
         mask = select_frozen([0.1, 5.0, 3.0], 2)
@@ -158,6 +209,13 @@ class TestOrderKernels:
             z = np.sort(ga_reliabilities(kv, 0.5, 3.0))
             scores[kv] = z[3:].sum()
         assert got == max(scores, key=scores.get)
+
+    @pytest.mark.parametrize("n_two,n_three", [(1, 1), (2, 2), (4, 3)])
+    def test_highest_reliability_ties_keep_first_combination(self, n_two, n_three):
+        # K = round(0.001 * N) = 0 scores every arrangement 0.0; the first in
+        # itertools.combinations order over the ternary positions wins.
+        got = order_kernels(n_two, n_three, OrderingStrategy.HIGHEST_RELIABILITY, rate=0.001)
+        assert got == (3,) * n_three + (2,) * n_two
 
     def test_highest_reliability_pure_kernels(self):
         assert order_kernels(3, 0, OrderingStrategy.HIGHEST_RELIABILITY) == (2, 2, 2)
