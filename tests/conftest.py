@@ -116,4 +116,3 @@ def scalar_ga_reliabilities(kv, rate, ebn0_db):
     for k in kv:
         means = [child for z in means for child in _scalar_ga_children(z, k)]
     return np.array(means)
-

@@ -16,14 +16,9 @@ from mkpolar.construction import (
     phi_inv,
     select_frozen,
 )
-
-from conftest import (
-    kernel_vectors,
-    scalar_ga_reliabilities,
-    scalar_phi,
-    scalar_phi_inv,
-)
 from mkpolar.kernels import factor_length
+
+from conftest import kernel_vectors, scalar_ga_reliabilities, scalar_phi, scalar_phi_inv
 
 
 class TestPhi:
