@@ -18,7 +18,7 @@ from .construction import (
     phi_inv,
     select_frozen,
 )
-from .encoding import encode_message, encode_recursive, expand_message
+from .encoding import encode_message, expand_message
 from .fast_ssc import (
     FastSSCDecoder,
     NodeClass,

@@ -26,7 +26,7 @@ DECODER_KINDS = ("sc", "fastssc")
 # N; a block of 64 amortises its construction. Changing this changes the stream.
 BLOCK_FRAMES = 64
 
-# Each worker is a thread with its own decoder and buffers (tens of MB at N=2304).
+# Each worker is a thread holding its chunk's arrays (tens of MB at N=2304).
 MAX_WORKERS = 64
 
 
@@ -89,15 +89,12 @@ def awgn_llr(symbols, sigma2, noise):
     return 2.0 * (symbols + np.sqrt(sigma2) * noise) / sigma2
 
 
-def _make_decoders(kind, spec, limits, count):
-    """count decoders of one code; Fast-SSC decoders share one immutable schedule."""
+def _make_decoder(kind, spec, limits):
+    """The decoder of one code; limits apply to Fast-SSC only."""
     if kind == "sc":
-        return [SCDecoder(spec) for _ in range(count)]
+        return SCDecoder(spec)
     if kind == "fastssc":
-        first = FastSSCDecoder(spec, limits=limits)
-        return [first] + [
-            FastSSCDecoder(spec, first.limits, first.schedule) for _ in range(count - 1)
-        ]
+        return FastSSCDecoder(spec, limits=limits)
     raise ValueError(f"unknown decoder kind {kind!r}; expected one of {DECODER_KINDS}")
 
 
@@ -162,15 +159,19 @@ def run_fer(
                 else spec
             )
             simulate = partial(
-                _simulate_chunk, spec=point_spec, sigma2=sigma2, seed=seed, point_index=point_index
+                _simulate_chunk,
+                _make_decoder(decoder, point_spec, limits),
+                spec=point_spec,
+                sigma2=sigma2,
+                seed=seed,
+                point_index=point_index,
             )
-            decoders = _make_decoders(decoder, point_spec, limits, workers)
             point = SnrPoint(ebn0_db=ebn0_db)
             while not stop.reached(point):
                 end = min(point.frames + workers * batch_size, stop.max_frames)
                 starts = range(point.frames, end, batch_size)
                 counts = [min(batch_size, end - start) for start in starts]
-                results = list(run(simulate, decoders, starts, counts))
+                results = list(run(simulate, starts, counts))
                 # Apply chunk tallies in frame order and stop as soon as the
                 # rule is met, so totals do not depend on the worker count.
                 for count, (frame_errors, bit_errors) in zip(counts, results):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .channel import StopRule, run_fer
+from .channel import DECODER_KINDS, StopRule, _make_decoder, run_fer
 from .construction import (
     CodeSpec,
     OrderingStrategy,
@@ -33,9 +33,8 @@ from .construction import (
     ga_reliabilities,
 )
 from .encoding import encode_message
-from .fast_ssc import FastSSCDecoder, NodeLimits, build_schedule
+from .fast_ssc import NodeLimits, build_schedule
 from .kernels import factor_length
-from .sc import SCDecoder
 
 FER_FIELDS = ("ebn0_db", "frames", "frame_errors", "bit_errors", "fer", "ber")
 ANALYSIS_FIELDS = (
@@ -233,10 +232,7 @@ def cmd_decode(args):
     llr = _read_llrs(args.llr_path)
     if llr.shape != (spec.n_bits,):
         raise CommandError(f"expected {spec.n_bits} LLRs, got {llr.size}")
-    if args.decoder == "sc":
-        u_hat, x_hat = SCDecoder(spec).decode(llr)
-    else:
-        u_hat, x_hat = FastSSCDecoder(spec, limits=_node_limits(args)).decode(llr)
+    u_hat, x_hat = _make_decoder(args.decoder, spec, _node_limits(args)).decode(llr)
     print("u_hat " + _bits_to_str(u_hat))
     print("x_hat " + _bits_to_str(x_hat))
     print("info " + _bits_to_str(u_hat[spec.info_indices]))
@@ -348,12 +344,12 @@ def build_parser():
     p = sub.add_parser("decode", help="decode channel LLRs")
     _add_code_args(p, with_spec=True)
     p.add_argument("--llrs", dest="llr_path", help="file of whitespace/comma separated LLRs, '-' for stdin")
-    p.add_argument("--decoder", choices=("sc", "fastssc"), default="sc")
+    p.add_argument("--decoder", choices=DECODER_KINDS, default="sc")
     _add_limit_args(p)
 
     p = sub.add_parser("simulate", help="Monte-Carlo FER/BER sweep")
     _add_code_args(p)
-    p.add_argument("--decoder", choices=("sc", "fastssc"), default="sc")
+    p.add_argument("--decoder", choices=DECODER_KINDS, default="sc")
     p.add_argument("--snr", help="Eb/N0 sweep: start:step:stop or comma list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-errors", type=int, default=100)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import code_length, factor_length, validate_kernel_vector
+from .kernels import factor_length, validate_kernel_vector
 
 _ALPHA = -0.4527
 _BETA = 0.0218
@@ -198,7 +198,7 @@ class CodeSpec:
 
     def __post_init__(self):
         self.kernels = validate_kernel_vector(self.kernels)
-        n = code_length(self.kernels)
+        n = math.prod(self.kernels)
         if self.n_bits != n:
             raise ValueError(f"n_bits={self.n_bits} does not match kernel product {n}")
         if not 0 <= self.k_bits <= self.n_bits:
@@ -229,7 +229,7 @@ class CodeSpec:
 def design_code(kernels, k_bits, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     """Build a CodeSpec with the frozen set chosen by GA at the given Eb/N0."""
     kernels = validate_kernel_vector(kernels)
-    n = code_length(kernels)
+    n = math.prod(kernels)
     if 0 < k_bits < n:
         z = ga_reliabilities(kernels, k_bits / n, ebn0_db)
         frozen = select_frozen(z, k_bits)

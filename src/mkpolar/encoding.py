@@ -23,11 +23,6 @@ def expand_message(a, spec):
     return u
 
 
-def encode_recursive(u, spec):
-    """Codeword x = u . G over GF(2) via stage-wise combine maps."""
-    return stage_transform(u, spec.kernels)
-
-
 def encode_message(a, spec):
-    """Expand then encode in one step."""
-    return encode_recursive(expand_message(a, spec), spec)
+    """Expand then encode in one step: x = u . G over GF(2) by the stage transform."""
+    return stage_transform(expand_message(a, spec), spec.kernels)

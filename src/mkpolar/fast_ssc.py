@@ -15,11 +15,12 @@ all-ternary, REP3B/REP3C have their ternary stages first/last; the classes
 differ only in which nodes are recognized (and counted in Table 2).
 
 FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
-schedule's multi-bit leaves replace the subtrees they prune; Rate-1 and SPC
-leaves recover their sourceword bits by the inverse stage transform. They
-decide a tied (zero) LLR on the codeword bit, where SC decides the sourceword
-bit, so without SPC the decoder is bit-exact to SC for tie-free LLRs only; on
-ties both return valid codewords.
+schedule's multi-bit leaves replace the subtrees they prune, each writing
+its codeword and sourceword bits into the slices the walk hands it. Rate-1
+and SPC leaves recover their sourceword bits by the inverse stage transform.
+They decide a tied (zero) LLR on the codeword bit, where SC decides the
+sourceword bit, so without SPC the decoder is bit-exact to SC for tie-free
+LLRs only; on ties both return valid codewords.
 """
 
 from dataclasses import dataclass, field
@@ -224,35 +225,25 @@ class FastSSCDecoder(_TreeDecoder):
     """Schedule-driven decoder: the SC walk with the schedule's multi-bit leaves
     decoded in one step.
 
-    Schedules are immutable and may be shared; the decoder owns its scratch
-    buffers, so use one instance per worker.
+    The decoder keeps no per-decode state, so one instance may be shared by
+    threads, and so may its immutable schedule.
     """
 
-    def __init__(self, spec, limits=None, schedule=None):
+    def __init__(self, spec, limits=None):
         super().__init__(spec)
-        self.limits = limits or NodeLimits()
-        self.schedule = schedule if schedule is not None else build_schedule(spec, self.limits)
-        if self.schedule.kernels != spec.kernels or not np.array_equal(
-            self.schedule.frozen, spec.frozen
-        ):
-            raise ValueError("schedule was built for a different code")
+        self.schedule = build_schedule(spec, limits)
         # Single-bit leaves take the walk's own bit decision, which they equal.
         self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
-    def _decode_leaf(self, node):
-        depth, offset, span = node.depth, node.offset, node.span
-        beta = self._beta[depth]
+    def _decode_leaf(self, node, alpha, beta, u):
+        """Decode a multi-bit leaf with LLRs alpha into its slices beta and u."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
             beta[:] = 0
-            self._u[:, offset : offset + span] = 0
-            return
-        alpha = self._llr[depth]
-        if cls is NodeClass.RATE1:
-            b, u = decode_rate1(alpha, node.kv_sub)
+            u[:] = 0
+        elif cls is NodeClass.RATE1:
+            beta[:], u[:] = decode_rate1(alpha, node.kv_sub)
         elif cls is NodeClass.SPC:
-            b, u = decode_spc(alpha, node.kv_sub)
+            beta[:], u[:] = decode_spc(alpha, node.kv_sub)
         else:
-            b, u = decode_rep(alpha, node.pattern)
-        beta[:] = b
-        self._u[:, offset : offset + span] = u
+            beta[:], u[:] = decode_rep(alpha, node.pattern)

@@ -71,11 +71,8 @@ def factor_length(n):
 
 
 def is_valid_length(n):
-    try:
-        factor_length(n)
-    except ValueError:
-        return False
-    return True
+    """Whether n is a supported codeword length 2**a * 3**b >= 2."""
+    return n >= 2 and _is_smooth(n)
 
 
 def nearest_valid_lengths(n):

@@ -11,12 +11,16 @@ to SC for tie-free LLRs only (see fast_ssc.py).
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
-tree but hands each pruned subtree to a one-step leaf decoder.
+tree but hands each pruned subtree to a one-step leaf decoder. A node gets
+its LLRs as the value its parent's LLR step returns, and owns the slice
+x[:, offset:offset+span] of one (batch, N) partial-sum array: its children
+fill their sub-slices, then the node's kernel combines the slice in place,
+so once the root returns, x is the codeword estimate x_hat.
 """
 
 import numpy as np
 
-from .kernels import apply_kernel, validate_kernel_vector
+from .kernels import apply_kernel
 
 
 def f_op(l0, l1):
@@ -55,42 +59,20 @@ def lambda2(l1, l2, u0, u1):
     return s0 * l1 + s1 * l2
 
 
-def tree_spans(kv):
-    """Leaf span of a node at each depth: spans[0] = N down to spans[M] = 1."""
-    kv = validate_kernel_vector(kv)
-    spans = [1]
-    for k in reversed(kv):
-        spans.append(spans[-1] * k)
-    return spans[::-1]
-
-
 class _TreeDecoder:
-    """The SC tree walk, its scratch buffers, and the decode entry points.
+    """The SC tree walk and the decode entry points.
 
     Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves`
-    is decoded in one step by `self._decode_leaf(node)`, which a subclass
-    that fills `_leaves` must define; every other node recurses down to
-    single-bit decisions. The per-depth LLR and partial-sum buffers make an
-    instance unsafe to share mid-decode; create one per worker.
+    is decoded in one step by `self._decode_leaf(node, alpha, beta, u)`,
+    which a subclass that fills `_leaves` must define; every other node
+    recurses down to single-bit decisions. A decode keeps its state in the
+    arrays it allocates, never on the instance, so one decoder may serve
+    any number of threads at once.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        self.kv = spec.kernels
-        self.spans = tree_spans(self.kv)
         self._leaves = {}
-        self._batch = None
-        self._llr = None
-        self._beta = None
-        self._u = None
-
-    def _ensure_buffers(self, batch):
-        if batch == self._batch:
-            return
-        self._batch = batch
-        self._llr = [np.empty((batch, s), dtype=float) for s in self.spans]
-        self._beta = [np.empty((batch, s), dtype=np.uint8) for s in self.spans]
-        self._u = np.empty((batch, self.spec.n_bits), dtype=np.uint8)
 
     def decode(self, llr):
         """Decode one frame; returns (u_hat, x_hat) with x_hat the root partial sums."""
@@ -106,66 +88,53 @@ class _TreeDecoder:
         LLRs are saturated to +-max_float / (2N), so +-inf and huge values
         decide like large finite ones and no sum in the tree can overflow.
         """
+        n = self.spec.n_bits
         llrs = np.asarray(llrs, dtype=float)
-        if llrs.ndim != 2 or llrs.shape[1] != self.spec.n_bits:
-            raise ValueError(f"expected (batch, {self.spec.n_bits}) LLRs, got {llrs.shape}")
+        if llrs.ndim != 2 or llrs.shape[1] != n:
+            raise ValueError(f"expected (batch, {n}) LLRs, got {llrs.shape}")
         # min() propagates NaN and, unlike isnan(), allocates no batch-sized mask
         if llrs.size and np.isnan(llrs.min()):
             frame, index = np.argwhere(np.isnan(llrs))[0]
             raise ValueError(f"LLR {index} of frame {frame} is NaN")
-        self._ensure_buffers(llrs.shape[0])
-        bound = np.finfo(float).max / (2 * self.spec.n_bits)
-        np.clip(llrs, -bound, bound, out=self._llr[0])
-        self._decode_node(0, 0)
-        return self._u.copy(), self._beta[0].copy()
+        bound = np.finfo(float).max / (2 * n)
+        u = np.empty(llrs.shape, dtype=np.uint8)
+        x = np.empty(llrs.shape, dtype=np.uint8)
+        self._decode_node(np.clip(llrs, -bound, bound), x, u, 0, 0)
+        return u, x
 
-    def _decode_node(self, depth, offset):
-        span = self.spans[depth]
+    def _decode_node(self, alpha, x, u, depth, offset):
+        """Decode the node whose LLRs are alpha into x[:, offset:offset+span] and u."""
+        span = alpha.shape[1]
         if span == 1:
-            beta = self._beta[depth]
-            if self.spec.frozen[offset]:
-                beta[:, 0] = 0
-            else:
-                beta[:, 0] = self._llr[depth][:, 0] <= 0
-            self._u[:, offset] = beta[:, 0]
+            x[:, offset] = 0 if self.spec.frozen[offset] else alpha[:, 0] <= 0
+            u[:, offset] = x[:, offset]
             return
+        beta = x[:, offset : offset + span]
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
-            self._decode_leaf(leaf)
+            self._decode_leaf(leaf, alpha, beta, u[:, offset : offset + span])
             return
 
-        k = self.kv[depth]
+        k = self.spec.kernels[depth]
         q = span // k
-        alpha = self._llr[depth]
-        child = self._llr[depth + 1]
-        beta = self._beta[depth]
-
-        # Children's partial sums stay raw in their slots until the last is decoded.
+        # Children's partial sums stay raw in their slices until the last is decoded.
         if k == 2:
-            l0, l1 = alpha[:, :q], alpha[:, q:span]
-            child[:] = f_op(l0, l1)
-            self._decode_node(depth + 1, offset)
-            beta[:, :q] = self._beta[depth + 1]
-            child[:] = g_op(l0, l1, beta[:, :q])
-            self._decode_node(depth + 1, offset + q)
-            beta[:, q:span] = self._beta[depth + 1]
+            l0, l1 = alpha[:, :q], alpha[:, q:]
+            self._decode_node(f_op(l0, l1), x, u, depth + 1, offset)
+            self._decode_node(g_op(l0, l1, beta[:, :q]), x, u, depth + 1, offset + q)
         else:
-            l0, l1, l2 = alpha[:, :q], alpha[:, q : 2 * q], alpha[:, 2 * q : span]
-            child[:] = lambda0(l0, l1, l2)
-            self._decode_node(depth + 1, offset)
-            beta[:, :q] = self._beta[depth + 1]
-            child[:] = lambda1(l0, l1, l2, beta[:, :q])
-            self._decode_node(depth + 1, offset + q)
-            beta[:, q : 2 * q] = self._beta[depth + 1]
-            child[:] = lambda2(l1, l2, beta[:, :q], beta[:, q : 2 * q])
-            self._decode_node(depth + 1, offset + 2 * q)
-            beta[:, 2 * q : span] = self._beta[depth + 1]
-        apply_kernel(beta.reshape(-1, k, q), k)
+            l0, l1, l2 = alpha[:, :q], alpha[:, q : 2 * q], alpha[:, 2 * q :]
+            self._decode_node(lambda0(l0, l1, l2), x, u, depth + 1, offset)
+            self._decode_node(lambda1(l0, l1, l2, beta[:, :q]), x, u, depth + 1, offset + q)
+            child = lambda2(l1, l2, beta[:, :q], beta[:, q : 2 * q])
+            self._decode_node(child, x, u, depth + 1, offset + 2 * q)
+        # copy=False raises rather than combine a copy and leave x unchanged.
+        apply_kernel(beta.reshape(len(beta), k, q, copy=False), k)
 
 
 class SCDecoder(_TreeDecoder):
     """Successive-cancellation decoder for one code: the full tree walk.
 
     decode_batch runs any number of independent frames through the tree at
-    once. One instance per worker (see _TreeDecoder).
+    once; one instance may be shared by threads (see _TreeDecoder).
     """

@@ -12,7 +12,7 @@ import pytest
 
 from mkpolar.analysis import sc_node_count, schedule_stats
 from mkpolar.construction import construct_code, design_code
-from mkpolar.encoding import encode_recursive, expand_message
+from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import (
     FastSSCDecoder,
     NodeClass,
@@ -91,7 +91,7 @@ def _noisy_frames(spec, count, seed, ebn0_db=2.0):
     sigma2 = 1.0 / (2.0 * spec.k_bits / spec.n_bits * 10 ** (ebn0_db / 10))
     msg = rng.integers(0, 2, (count, spec.k_bits), dtype=np.uint8)
     u = expand_message(msg, spec)
-    x = encode_recursive(u, spec)
+    x = stage_transform(u, spec.kernels)
     llr = 2.0 * ((1.0 - 2.0 * x) + np.sqrt(sigma2) * rng.standard_normal(x.shape)) / sigma2
     return u, x, llr
 
@@ -296,7 +296,7 @@ def test_criterion_10_noiseless_roundtrip():
             spec = design_code(kv, max(n // 2, 1), ebn0_db=3.0)
             msg = rng.integers(0, 2, (1000, spec.k_bits), dtype=np.uint8)
             u = expand_message(msg, spec)
-            x = encode_recursive(u, spec)
+            x = stage_transform(u, spec.kernels)
             llr = 8.0 * (1.0 - 2.0 * x)
             u_sc, _ = SCDecoder(spec).decode_batch(llr)
             u_f, _ = FastSSCDecoder(spec).decode_batch(llr)

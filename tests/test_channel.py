@@ -116,8 +116,8 @@ class TestRunFer:
         assert [p.__dict__ for p in a.points] == [p.__dict__ for p in b.points]
 
     def test_one_schedule_per_snr_point(self, spec96, monkeypatch):
-        # Fast-SSC workers of one point share its schedule, and the tallies
-        # equal those of one schedule per worker.
+        # The workers of one point share its one decoder, so its schedule is
+        # built once, and the tallies equal those of one decoder per worker.
         calls = []
         build = fast_ssc.build_schedule
 

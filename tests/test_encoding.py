@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mkpolar.encoding import encode_message, encode_recursive, expand_message
-from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator
+from mkpolar.encoding import encode_message, expand_message
+from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator, stage_transform
 
 from conftest import encode_matrix, kernel_vectors, spec_with_frozen
 
@@ -62,18 +62,18 @@ class TestEncodeRecursive:
         n = int(np.prod(kv))
         spec = _spec(kv, np.zeros(n, dtype=np.uint8))
         u = rng.integers(0, 2, (1000, n), dtype=np.uint8)
-        assert np.array_equal(encode_recursive(u, spec), encode_matrix(u, spec))
+        assert np.array_equal(stage_transform(u, spec.kernels), encode_matrix(u, spec))
 
     def test_all_zero(self):
         spec = _spec((2, 3), np.zeros(6, dtype=np.uint8))
-        assert encode_recursive(np.zeros(6, dtype=np.uint8), spec).tolist() == [0] * 6
+        assert stage_transform(np.zeros(6, dtype=np.uint8), spec.kernels).tolist() == [0] * 6
 
     def test_unit_last_gives_last_row(self):
         spec = _spec((2, 3), np.zeros(6, dtype=np.uint8))
         u = np.zeros(6, dtype=np.uint8)
         u[-1] = 1
         g = generator_matrix((2, 3))
-        assert np.array_equal(encode_recursive(u, spec), g[-1])
+        assert np.array_equal(stage_transform(u, spec.kernels), g[-1])
 
 
 class TestEncoderProperties:
@@ -84,8 +84,8 @@ class TestEncoderProperties:
         u1 = rng.integers(0, 2, (64, n), dtype=np.uint8)
         u2 = rng.integers(0, 2, (64, n), dtype=np.uint8)
         assert np.array_equal(
-            encode_recursive(u1 ^ u2, spec),
-            encode_recursive(u1, spec) ^ encode_recursive(u2, spec),
+            stage_transform(u1 ^ u2, spec.kernels),
+            stage_transform(u1, spec.kernels) ^ stage_transform(u2, spec.kernels),
         )
 
     @pytest.mark.parametrize("kv", [(2, 3), (3, 3, 2), (2, 2, 2, 3)], ids=str)
@@ -93,7 +93,7 @@ class TestEncoderProperties:
         n = int(np.prod(kv))
         spec = _spec(kv, np.zeros(n, dtype=np.uint8))
         u = rng.integers(0, 2, (128, n), dtype=np.uint8)
-        x = encode_recursive(u, spec)
+        x = stage_transform(u, spec.kernels)
         assert np.array_equal(gf2_vecmat(x, inverse_generator(kv)), u)
 
     def test_encode_message_pipeline(self, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolar.construction import construct_code, design_code
-from mkpolar.encoding import encode_recursive, expand_message
+from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import (
     FastSSCDecoder,
     NodeClass,
@@ -18,7 +18,7 @@ from mkpolar.fast_ssc import (
     decode_spc,
     rep_pattern,
 )
-from mkpolar.kernels import generator_matrix
+from mkpolar.kernels import generator_matrix, stage_transform
 from mkpolar.sc import SCDecoder
 
 from conftest import (
@@ -265,7 +265,7 @@ class TestDecodeRep:
 def _random_noisy_frames(spec, count, rng, snr_scale=1.0):
     msg = rng.integers(0, 2, (count, spec.k_bits), dtype=np.uint8)
     u = expand_message(msg, spec)
-    x = encode_recursive(u, spec)
+    x = stage_transform(u, spec.kernels)
     return u, 2.0 * (1.0 - 2.0 * x) * snr_scale + rng.normal(0, 1.6, (count, spec.n_bits))
 
 
@@ -295,13 +295,13 @@ class TestFastDecoder:
             for decoder in decoders:
                 u_hat, x_hat = decoder.decode_batch(llr)
                 assert not u_hat[:, spec.frozen_indices].any()
-                assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+                assert np.array_equal(x_hat, stage_transform(u_hat, spec.kernels))
 
     def test_noiseless_exact(self, rng):
         spec = design_code((3, 2, 2, 3), 18)
         msg = rng.integers(0, 2, (100, 18), dtype=np.uint8)
         u = expand_message(msg, spec)
-        x = encode_recursive(u, spec)
+        x = stage_transform(u, spec.kernels)
         u_hat, x_hat = FastSSCDecoder(spec).decode_batch(noiseless_llrs(x))
         assert np.array_equal(u_hat, u)
         assert np.array_equal(x_hat, x)
@@ -317,11 +317,10 @@ class TestFastDecoder:
 
     def test_decode_fast_function(self, rng):
         spec = design_code((2, 3), 3)
-        sched = build_schedule(spec)
         _, llr = _random_noisy_frames(spec, 1, rng)
-        u_hat, x_hat = FastSSCDecoder(spec, schedule=sched).decode(llr[0])
+        u_hat, x_hat = FastSSCDecoder(spec).decode(llr[0])
         assert u_hat.shape == (6,)
-        assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+        assert np.array_equal(x_hat, stage_transform(u_hat, spec.kernels))
 
     def test_nan_llr_rejected(self):
         spec = design_code((2, 3), 3)
@@ -335,7 +334,7 @@ class TestFastDecoder:
     def test_infinite_and_huge_llrs_saturate(self, kv, k, rng):
         spec = design_code(kv, k)
         u = expand_message(rng.integers(0, 2, (40, k), dtype=np.uint8), spec)
-        x = encode_recursive(u, spec)
+        x = stage_transform(u, spec.kernels)
         magnitude = rng.choice([np.inf, 1e308, 4.0], size=x.shape)
         u_hat, x_hat = FastSSCDecoder(spec).decode_batch(noiseless_llrs(x, magnitude))
         assert np.array_equal(u_hat, u)
@@ -344,7 +343,7 @@ class TestFastDecoder:
         u_inf, x_inf = FastSSCDecoder(spec).decode_batch(signs * np.inf)
         u_big, x_big = FastSSCDecoder(spec).decode_batch(signs * 1e308)
         assert np.array_equal(u_inf, u_big) and np.array_equal(x_inf, x_big)
-        assert np.array_equal(x_inf, encode_recursive(u_inf, spec))
+        assert np.array_equal(x_inf, stage_transform(u_inf, spec.kernels))
 
     @pytest.mark.parametrize("kv,k", [((2, 3), 3), ((2, 2, 2, 2, 2, 3), 48)], ids=str)
     def test_empty_batch(self, kv, k):
@@ -352,13 +351,6 @@ class TestFastDecoder:
         u_hat, x_hat = FastSSCDecoder(spec).decode_batch(np.zeros((0, spec.n_bits)))
         for out in (u_hat, x_hat):
             assert out.shape == (0, spec.n_bits) and out.dtype == np.uint8
-
-    def test_schedule_spec_mismatch(self):
-        spec_a = design_code((2, 3), 3)
-        spec_b = design_code((3, 2), 3)
-        sched_b = build_schedule(spec_b)
-        with pytest.raises(ValueError):
-            FastSSCDecoder(spec_a, schedule=sched_b)
 
     def test_single_bit_leaves_survive(self, rng):
         # frozen pattern engineered so recursion reaches span-1 nodes

@@ -11,6 +11,7 @@ from mkpolar.kernels import (
     gf2_matmul,
     gf2_vecmat,
     inverse_generator,
+    is_valid_length,
     kron,
     nearest_valid_lengths,
     stage_transform,
@@ -133,6 +134,16 @@ def test_factor_length_roundtrip(a, b):
 def test_factor_length_rejects_other_primes():
     with pytest.raises(ValueError, match="96 and 108"):
         factor_length(100)
+
+
+def test_is_valid_length_agrees_with_factor_length():
+    for n in range(-3, 5001):
+        try:
+            factor_length(n)
+        except ValueError:
+            assert not is_valid_length(n), n
+        else:
+            assert is_valid_length(n), n
 
 
 def test_nearest_valid_lengths():

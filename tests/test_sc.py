@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkpolar.encoding import encode_recursive, expand_message
+from mkpolar.encoding import expand_message
+from mkpolar.kernels import stage_transform
 from mkpolar.sc import (
     SCDecoder,
     f_op,
@@ -13,7 +14,6 @@ from mkpolar.sc import (
     lambda0,
     lambda1,
     lambda2,
-    tree_spans,
 )
 
 from conftest import kernel_vectors, noiseless_llrs, spec_with_frozen
@@ -67,11 +67,6 @@ class TestLlrOps:
         assert (f_op(a, b) <= 0) == ((a <= 0) ^ (b <= 0))
 
 
-def test_tree_spans():
-    assert tree_spans((2, 3)) == [6, 3, 1]
-    assert tree_spans((3, 2, 2)) == [12, 4, 2, 1]
-
-
 def naive_sc(spec, llr):
     """Buffer-free functional SC used as an oracle for the production decoder."""
 
@@ -114,7 +109,7 @@ class TestDecodeSC:
         spec = spec_with_frozen((3,), [1, 1, 0])
         u_hat, x_hat = SCDecoder(spec).decode([5.0, -1.0, -2.0])
         assert u_hat.tolist() == [0, 0, 1]
-        assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+        assert np.array_equal(x_hat, stage_transform(u_hat, spec.kernels))
 
     def test_all_frozen_decodes_zero(self, rng):
         spec = spec_with_frozen((2, 3), np.ones(6, dtype=np.uint8))
@@ -141,7 +136,7 @@ class TestDecodeSC:
         spec = spec_with_frozen(kv, np.zeros(n))
         u_hat, x_hat = SCDecoder(spec).decode(np.zeros(n))
         assert u_hat.tolist() == [1] * n
-        assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+        assert np.array_equal(x_hat, stage_transform(u_hat, spec.kernels))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kv", [(2,), (3,), (2, 3), (3, 2, 2), (2, 2, 2, 2, 2, 3)], ids=str)
@@ -150,7 +145,7 @@ class TestDecodeSC:
         frozen = (rng.random(n) < 0.5).astype(np.uint8)
         spec = spec_with_frozen(kv, frozen)
         u = expand_message(rng.integers(0, 2, (40, spec.k_bits), dtype=np.uint8), spec)
-        x = encode_recursive(u, spec)
+        x = stage_transform(u, spec.kernels)
         # Noiseless frames whose bits are certain to various degrees decode exactly.
         magnitude = rng.choice([np.inf, 1e308, 4.0], size=x.shape)
         u_hat, x_hat = SCDecoder(spec).decode_batch(noiseless_llrs(x, magnitude))
@@ -161,7 +156,7 @@ class TestDecodeSC:
         u_inf, x_inf = SCDecoder(spec).decode_batch(signs * np.inf)
         u_big, x_big = SCDecoder(spec).decode_batch(signs * 1e308)
         assert np.array_equal(u_inf, u_big) and np.array_equal(x_inf, x_big)
-        assert np.array_equal(x_inf, encode_recursive(u_inf, spec))
+        assert np.array_equal(x_inf, stage_transform(u_inf, spec.kernels))
 
     @pytest.mark.filterwarnings("error")
     def test_conflicting_infinities_tie(self):
@@ -187,7 +182,7 @@ class TestDecodeSC:
         spec = spec_with_frozen(kv, frozen)
         msg = rng.integers(0, 2, (32, k), dtype=np.uint8)
         u = expand_message(msg, spec)
-        x = encode_recursive(u, spec)
+        x = stage_transform(u, spec.kernels)
         u_hat, x_hat = SCDecoder(spec).decode_batch(noiseless_llrs(x, 4.0))
         assert np.array_equal(u_hat, u)
         assert np.array_equal(x_hat, x)
@@ -196,7 +191,7 @@ class TestDecodeSC:
         spec = spec_with_frozen((2, 2, 3), (np.arange(12) < 6).astype(np.uint8))
         llr = rng.normal(0, 2, (50, 12))
         u_hat, x_hat = SCDecoder(spec).decode_batch(llr)
-        assert np.array_equal(x_hat, encode_recursive(u_hat, spec))
+        assert np.array_equal(x_hat, stage_transform(u_hat, spec.kernels))
 
     def test_batch_matches_single(self, rng):
         spec = spec_with_frozen((3, 2, 3), (np.arange(18) % 2 == 0).astype(np.uint8))
