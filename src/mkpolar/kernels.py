@@ -41,11 +41,6 @@ def validate_kernel_vector(kv):
     return kv
 
 
-def code_length(kv):
-    """Product of the kernel sizes, i.e. the codeword length N."""
-    return prod(validate_kernel_vector(kv))
-
-
 def factor_length(n):
     """Factor a codeword length into (n_two, n_three) with N = 2**n_two * 3**n_three.
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
-from mkpolar.kernels import code_length, generator_matrix, gf2_vecmat, inverse_generator
+from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator
 
 
 def kernel_vectors(max_n, min_n=2):
@@ -28,18 +28,18 @@ def kernel_vectors(max_n, min_n=2):
 
 def spec_with_frozen(kv, frozen):
     frozen = np.asarray(frozen, dtype=np.uint8)
-    n = code_length(kv)
+    n = math.prod(kv)
     return CodeSpec(n_bits=n, k_bits=n - int(frozen.sum()), kernels=tuple(kv), frozen=frozen)
 
 
 def rate1_spec(kv):
-    n = code_length(kv)
+    n = math.prod(kv)
     return spec_with_frozen(kv, np.zeros(n, dtype=np.uint8))
 
 
 def rep_spec(kv):
     """All bits frozen except the last."""
-    n = code_length(kv)
+    n = math.prod(kv)
     frozen = np.ones(n, dtype=np.uint8)
     frozen[-1] = 0
     return spec_with_frozen(kv, frozen)
