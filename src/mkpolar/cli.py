@@ -34,7 +34,7 @@ from .construction import (
 )
 from .encoding import encode_message
 from .fast_ssc import NodeLimits, build_schedule
-from .kernels import factor_length
+from .kernels import factor_length, validate_kernel_vector
 
 FER_FIELDS = ("ebn0_db", "frames", "frame_errors", "bit_errors", "fer", "ber")
 ANALYSIS_FIELDS = (
@@ -76,12 +76,17 @@ def load_code_spec(path):
     try:
         n = int(fields["N"])
         k = int(fields["K"])
-        kernels = tuple(int(x) for x in fields["kernels"].split(","))
+        kernels = validate_kernel_vector(fields["kernels"].split(","))
         frozen_idx = (
             [int(x) for x in fields["frozen"].split(",")] if fields.get("frozen") else []
         )
     except (KeyError, ValueError) as exc:
         raise CommandError(f"malformed code spec file {path}: {exc}") from exc
+    # Checked against the kernels before N sizes any array.
+    if n != math.prod(kernels):
+        raise CommandError(f"code spec file {path}: N {n} != kernel product {math.prod(kernels)}")
+    if not 0 <= k <= n:
+        raise CommandError(f"code spec file {path}: K {k} is outside 0..{n}")
     seen = set()
     for i in frozen_idx:
         if not 0 <= i < n:

@@ -13,11 +13,15 @@ def expand_message(a, spec):
     """Place the K message bits into the information positions of a sourceword.
 
     Frozen positions are zero. Accepts a batch with the message bits on the
-    trailing axis.
+    trailing axis; raises ValueError on any entry other than 0 or 1.
     """
-    a = np.asarray(a, dtype=np.uint8)
+    a = np.asarray(a)
     if a.shape[-1] != spec.k_bits:
         raise ValueError(f"message length {a.shape[-1]} != K = {spec.k_bits}")
+    bad = (a != 0) & (a != 1)
+    if bad.any():
+        position = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"message entry {position} is {a[tuple(position)]}, not 0 or 1")
     u = np.zeros(a.shape[:-1] + (spec.n_bits,), dtype=np.uint8)
     u[..., spec.info_indices] = a
     return u

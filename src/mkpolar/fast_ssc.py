@@ -212,7 +212,7 @@ def decode_rep(alpha, pattern):
     The repeated bit is the node's last sourceword bit; beta is that bit
     times the pattern.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = np.array(alpha, dtype=float, order="C")  # one BLAS sum order for any layout
     pattern = np.asarray(pattern, dtype=np.uint8)
     bit = (np.asarray(alpha @ pattern.astype(float)) <= 0).astype(np.uint8)
     beta = bit[..., np.newaxis] * pattern

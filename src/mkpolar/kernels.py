@@ -137,16 +137,16 @@ def stage_transform(bits, kv, inverse=False):
     Equivalent to ``bits @ generator_matrix(kv)`` (or the inverse generator
     when ``inverse`` is set) but in O(N log N) in-place row XORs instead of a
     dense product. Accepts a trailing axis of length N; leading axes are
-    treated as a batch. The input is copied once and never modified.
+    treated as a batch. The XORs run on one frames-last (N, batch) copy, each
+    a contiguous run; the result keeps the input's memory order.
     """
     kv = validate_kernel_vector(kv)
-    x = np.array(bits, dtype=np.uint8, order="C")
+    x = np.array(np.asarray(bits).T, dtype=np.uint8, order="C")
     n = prod(kv)
-    if x.shape[-1] != n:
-        raise ValueError(f"input length {x.shape[-1]} does not match code length {n}")
-    lead = x.shape[:-1]
-    below = n
-    for k in kv:
-        below //= k
-        apply_kernel(x.reshape(lead + (n // (k * below), k, below)), k, inverse)
-    return x
+    if x.shape[0] != n:
+        raise ValueError(f"input length {x.shape[0]} does not match code length {n}")
+    for depth, k in enumerate(kv):
+        apply_kernel(x.reshape(prod(kv[:depth]), k, -1), k, inverse)
+    out = np.empty_like(bits, dtype=np.uint8)
+    out.T[...] = x
+    return out

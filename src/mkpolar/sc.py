@@ -11,11 +11,11 @@ to SC for tie-free LLRs only (see fast_ssc.py).
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
-tree but hands each pruned subtree to a one-step leaf decoder. A node gets
-its LLRs as the value its parent's LLR step returns, and owns the slice
-x[:, offset:offset+span] of one (batch, N) partial-sum array: its children
-fill their sub-slices, then the node's kernel combines the slice in place,
-so once the root returns, x is the codeword estimate x_hat.
+tree but hands each pruned subtree to a one-step leaf decoder. Frames lie on
+the last axis: a node gets its (span, batch) LLRs as the value its parent's
+LLR step returns and owns the contiguous block x[offset:offset+span] of one
+(N, batch) partial-sum array; its children fill their sub-blocks, then its
+kernel combines the block in place, so once the root returns, x is x_hat.
 """
 
 import numpy as np
@@ -64,10 +64,10 @@ class _TreeDecoder:
 
     Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves`
     is decoded in one step by `self._decode_leaf(node, alpha, beta, u)`,
-    which a subclass that fills `_leaves` must define; every other node
-    recurses down to single-bit decisions. A decode keeps its state in the
-    arrays it allocates, never on the instance, so one decoder may serve
-    any number of threads at once.
+    which a subclass that fills `_leaves` must define, on (batch, span) views
+    of the node's blocks; every other node recurses down to single-bit
+    decisions. A decode keeps its state in the arrays it allocates, never on
+    the instance, so one decoder may serve any number of threads at once.
     """
 
     def __init__(self, spec):
@@ -97,39 +97,39 @@ class _TreeDecoder:
             frame, index = np.argwhere(np.isnan(llrs))[0]
             raise ValueError(f"LLR {index} of frame {frame} is NaN")
         bound = np.finfo(float).max / (2 * n)
-        u = np.empty(llrs.shape, dtype=np.uint8)
-        x = np.empty(llrs.shape, dtype=np.uint8)
-        self._decode_node(np.clip(llrs, -bound, bound), x, u, 0, 0)
-        return u, x
+        alpha = np.clip(llrs.T, -bound, bound, out=np.empty(llrs.shape[::-1]))
+        u, x = np.empty((2, *alpha.shape), dtype=np.uint8)
+        self._decode_node(alpha, x, u, 0, 0)
+        return u.T.copy(), x.T.copy()
 
     def _decode_node(self, alpha, x, u, depth, offset):
-        """Decode the node whose LLRs are alpha into x[:, offset:offset+span] and u."""
-        span = alpha.shape[1]
+        """Decode the node whose (span, batch) LLRs are alpha into x[offset:offset+span] and u."""
+        span = len(alpha)
         if span == 1:
-            x[:, offset] = 0 if self.spec.frozen[offset] else alpha[:, 0] <= 0
-            u[:, offset] = x[:, offset]
+            x[offset] = 0 if self.spec.frozen[offset] else alpha[0] <= 0
+            u[offset] = x[offset]
             return
-        beta = x[:, offset : offset + span]
+        beta = x[offset : offset + span]
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
-            self._decode_leaf(leaf, alpha, beta, u[:, offset : offset + span])
+            self._decode_leaf(leaf, alpha.T, beta.T, u[offset : offset + span].T)
             return
 
         k = self.spec.kernels[depth]
         q = span // k
-        # Children's partial sums stay raw in their slices until the last is decoded.
+        # Children's partial sums stay raw in their blocks until the last is decoded.
         if k == 2:
-            l0, l1 = alpha[:, :q], alpha[:, q:]
+            l0, l1 = alpha[:q], alpha[q:]
             self._decode_node(f_op(l0, l1), x, u, depth + 1, offset)
-            self._decode_node(g_op(l0, l1, beta[:, :q]), x, u, depth + 1, offset + q)
+            self._decode_node(g_op(l0, l1, beta[:q]), x, u, depth + 1, offset + q)
         else:
-            l0, l1, l2 = alpha[:, :q], alpha[:, q : 2 * q], alpha[:, 2 * q :]
+            l0, l1, l2 = alpha[:q], alpha[q : 2 * q], alpha[2 * q :]
             self._decode_node(lambda0(l0, l1, l2), x, u, depth + 1, offset)
-            self._decode_node(lambda1(l0, l1, l2, beta[:, :q]), x, u, depth + 1, offset + q)
-            child = lambda2(l1, l2, beta[:, :q], beta[:, q : 2 * q])
+            self._decode_node(lambda1(l0, l1, l2, beta[:q]), x, u, depth + 1, offset + q)
+            child = lambda2(l1, l2, beta[:q], beta[q : 2 * q])
             self._decode_node(child, x, u, depth + 1, offset + 2 * q)
         # copy=False raises rather than combine a copy and leave x unchanged.
-        apply_kernel(beta.reshape(len(beta), k, q, copy=False), k)
+        apply_kernel(beta.reshape(k, -1, copy=False), k)
 
 
 class SCDecoder(_TreeDecoder):

@@ -45,6 +45,21 @@ class TestSpecFiles:
         assert complaint in err and len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "header,complaint",
+        [("N 1000000000000\nK 2", "N 1000000000000 != kernel product 4"),
+         ("N -4\nK 2", "N -4 != kernel product 4"),
+         ("N 4\nK 5", "K 5 is outside 0..4"), ("N 4\nK -1", "K -1 is outside 0..4")],
+        ids=("huge_n", "negative_n", "k_above_n", "negative_k"),
+    )
+    def test_length_checked_against_kernels_first(self, tmp_path, capsys, header, complaint):
+        path = tmp_path / "bad.spec"
+        path.write_text(f"{header}\nkernels 2,2\nfrozen 0,1\n")
+        assert run_cli(["encode", "--spec", str(path), "--message", "10"]) == 2
+        err = capsys.readouterr().err
+        assert complaint in err and len(err.strip().splitlines()) == 1
+
+
 class TestConstruct:
     def test_writes_spec_and_reliability(self, tmp_path):
         assert run_cli(["construct", "--n", "96", "--k", "48", "--order", "last",

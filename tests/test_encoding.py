@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,25 @@ class TestExpandMessage:
         spec = _spec((3,), [1, 0, 0])
         with pytest.raises(ValueError):
             expand_message([1, 0, 1], spec)
+
+    @pytest.mark.parametrize(
+        "message,complaint",
+        [([2, 0, 1], "entry [0] is 2,"), ([0.6, 0, 1], "entry [0] is 0.6,"),
+         (np.array([0, 1, 255], dtype=np.uint8), "entry [2] is 255,"),
+         ([[0, 1, 1], [1, 0, -1]], "entry [1, 2] is -1,"), ([0, np.nan, 1], "entry [1] is nan,")],
+        ids=("int", "float", "uint8", "batch", "nan"),
+    )
+    def test_non_binary_message_rejected(self, message, complaint):
+        spec = _spec((2, 2), [1, 0, 0, 0])
+        for call in (expand_message, encode_message):
+            with pytest.raises(ValueError, match=re.escape(complaint)):
+                call(message, spec)
+
+    def test_binary_message_of_any_dtype_accepted(self):
+        spec = _spec((2, 2), [1, 0, 0, 0])
+        for message in ([1, 0, 1], [1.0, 0.0, 1.0], [True, False, True], np.array([1, 0, 1], np.uint8)):
+            u = expand_message(message, spec)
+            assert u.dtype == np.uint8 and u.tolist() == [0, 1, 0, 1]
 
 
 class TestEncodeExamples:
