@@ -6,7 +6,18 @@ import pytest
 from hypothesis import strategies as st
 
 from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
+from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
 from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator
+from mkpolar.sc import SCDecoder
+
+# The three decoder configurations whose outputs the equivalence tests compare.
+DECODERS = {
+    "sc": SCDecoder,
+    "fastssc": FastSSCDecoder,
+    "fastssc-nospc-general": lambda spec: FastSSCDecoder(
+        spec, limits=NodeLimits(spc_max_span=0, general_rep=True)
+    ),
+}
 
 
 def kernel_vectors(max_n, min_n=2):

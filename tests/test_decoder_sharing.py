@@ -8,16 +8,8 @@ import numpy as np
 import pytest
 
 from mkpolar.construction import construct_code
-from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
-from mkpolar.sc import SCDecoder
 
-DECODERS = {
-    "sc": SCDecoder,
-    "fastssc": FastSSCDecoder,
-    "fastssc-nospc-general": lambda spec: FastSSCDecoder(
-        spec, limits=NodeLimits(spc_max_span=0, general_rep=True)
-    ),
-}
+from conftest import DECODERS
 
 
 @pytest.fixture(scope="module")

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from mkpolar.construction import construct_code
-from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
 from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator, stage_transform
-from mkpolar.sc import SCDecoder
 
-DECODERS = {
-    "sc": SCDecoder,
-    "fastssc": FastSSCDecoder,
-    "fastssc-nospc-general": lambda spec: FastSSCDecoder(
-        spec, limits=NodeLimits(spc_max_span=0, general_rep=True)
-    ),
-}
+from conftest import DECODERS
 
 
 @pytest.fixture(scope="module", params=[(144, 72, "last"), (72, 36, "first")], ids=str)
