@@ -5,7 +5,8 @@ Frames are drawn in fixed blocks of BLOCK_FRAMES: frame f of SNR point p takes
 its message and noise from the RNG keyed on (seed, p, f // BLOCK_FRAMES), which
 draws the block's messages, then its noise, and run_fer applies chunk tallies
 in frame order. Results are therefore identical no matter how frames are
-batched or spread across workers.
+batched or spread across workers. From the draw to the error tally, a chunk's
+arrays are Fortran-ordered (frames, N), so no step makes a transposing copy.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -100,8 +101,9 @@ def _make_decoder(kind, spec, limits):
 
 def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
     n, k = spec.n_bits, spec.k_bits
-    msgs = np.empty((count, k), dtype=np.uint8)
-    noise = np.empty((count, n))
+    # Fortran order: frames on the last axis of memory, as the decode walk holds them.
+    msgs = np.empty((count, k), dtype=np.uint8, order="F")
+    noise = np.empty((count, n), order="F")
     end = start + count
     for block in range(start // BLOCK_FRAMES, -(-end // BLOCK_FRAMES)):
         rng = np.random.default_rng([seed, point_index, block])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import factor_length, validate_kernel_vector
+from .kernels import MAX_CODE_LENGTH, factor_length, validate_kernel_vector
 
 _ALPHA = -0.4527
 _BETA = 0.0218
@@ -170,6 +170,9 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
     """
     if n_two < 0 or n_three < 0 or n_two + n_three < 1:
         raise ValueError(f"need at least one kernel, got n_two={n_two}, n_three={n_three}")
+    n = 2**n_two * 3**n_three
+    if n > MAX_CODE_LENGTH:  # before any GA stage runs
+        raise ValueError(f"code length {n} is above the maximum of {MAX_CODE_LENGTH}")
     if strategy == OrderingStrategy.FIRST:
         return (3,) * n_three + (2,) * n_two
     if strategy == OrderingStrategy.LAST:
@@ -177,7 +180,6 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
     if strategy != OrderingStrategy.HIGHEST_RELIABILITY:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
 
-    n = 2**n_two * 3**n_three
     k_bits = round(rate * n)
     best_kv, best_score = None, -math.inf
     for kv, z in _arrangements(_initial_mean(rate, ebn0_db), n_two, n_three):

@@ -13,7 +13,8 @@ def expand_message(a, spec):
     """Place the K message bits into the information positions of a sourceword.
 
     Frozen positions are zero. Accepts a batch with the message bits on the
-    trailing axis; raises ValueError on any entry other than 0 or 1.
+    trailing axis and returns it in the memory order of its input; raises
+    ValueError on any entry other than 0 or 1.
     """
     a = np.asarray(a)
     if a.shape[-1] != spec.k_bits:
@@ -22,7 +23,7 @@ def expand_message(a, spec):
     if bad.any():
         position = np.argwhere(bad)[0].tolist()
         raise ValueError(f"message entry {position} is {a[tuple(position)]}, not 0 or 1")
-    u = np.zeros(a.shape[:-1] + (spec.n_bits,), dtype=np.uint8)
+    u = np.zeros_like(a, dtype=np.uint8, shape=a.shape[:-1] + (spec.n_bits,))
     u[..., spec.info_indices] = a
     return u
 

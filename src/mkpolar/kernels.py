@@ -29,26 +29,31 @@ KERNEL_INVERSES = {2: T2_INV, 3: T3_INV}
 # inverse, so running the steps in reverse multiplies by T_k^-1.
 KERNEL_STEPS = {2: ((0, 1),), 3: ((0, 1), (2, 0), (1, 2))}
 
+# Longest supported N (28x the paper's largest); GA and the decoders size arrays by N.
+MAX_CODE_LENGTH = 2**16
+
 
 def validate_kernel_vector(kv):
-    """Return kv as a tuple of ints, checking every entry is 2 or 3."""
+    """Return kv as a tuple of ints: nonempty, each 2 or 3, product at most MAX_CODE_LENGTH."""
     kv = tuple(int(k) for k in kv)
     if not kv:
         raise ValueError("kernel vector must be nonempty")
     bad = [k for k in kv if k not in (2, 3)]
     if bad:
         raise ValueError(f"unsupported kernel sizes {bad}; only 2 and 3 are allowed")
+    if prod(kv) > MAX_CODE_LENGTH:
+        raise ValueError(f"code length {prod(kv)} is above the maximum of {MAX_CODE_LENGTH}")
     return kv
 
 
 def factor_length(n):
     """Factor a codeword length into (n_two, n_three) with N = 2**n_two * 3**n_three.
 
-    Raises ValueError, naming the nearest supported lengths, when N has any
-    other prime factor.
+    Raises ValueError when N is outside 2..MAX_CODE_LENGTH and, naming the
+    nearest supported lengths, when N has any other prime factor.
     """
-    if n < 2:
-        raise ValueError(f"codeword length must be at least 2, got {n}")
+    if not 2 <= n <= MAX_CODE_LENGTH:
+        raise ValueError(f"codeword length must be in 2..{MAX_CODE_LENGTH}, got {n}")
     n_two = n_three = 0
     rest = n
     while rest % 2 == 0:

@@ -87,6 +87,8 @@ class _TreeDecoder:
 
         LLRs are saturated to +-max_float / (2N), so +-inf and huge values
         decide like large finite ones and no sum in the tree can overflow.
+        Returns (u_hat, x_hat) in the memory order of the input: views of the
+        walk's frames-last arrays for an F-contiguous input, else C-ordered copies.
         """
         n = self.spec.n_bits
         llrs = np.asarray(llrs, dtype=float)
@@ -100,7 +102,7 @@ class _TreeDecoder:
         alpha = np.clip(llrs.T, -bound, bound, out=np.empty(llrs.shape[::-1]))
         u, x = np.empty((2, *alpha.shape), dtype=np.uint8)
         self._decode_node(alpha, x, u, 0, 0)
-        return u.T.copy(), x.T.copy()
+        return (u.T, x.T) if llrs.flags.f_contiguous else (u.T.copy(), x.T.copy())
 
     def _decode_node(self, alpha, x, u, depth, offset):
         """Decode the node whose (span, batch) LLRs are alpha into x[offset:offset+span] and u."""

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mkpolar.channel import BLOCK_FRAMES, awgn_llr, modulate
 from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
+from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
-from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator
+from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator, stage_transform
 from mkpolar.sc import SCDecoder
 
 # The three decoder configurations whose outputs the equivalence tests compare.
@@ -64,6 +66,28 @@ def encode_matrix(u, spec):
 def rate1_uhat_matrix(beta, kv_sub):
     """Rate-1 sourceword by the dense route beta . G_p^-1 (oracle for decode_rate1)."""
     return gf2_vecmat(beta, inverse_generator(kv_sub)).astype(np.uint8)
+
+
+def frames_first_chunk(decoder, start, count, spec, sigma2, seed, point_index):
+    """(frame_errors, bit_errors) of frames start..start+count-1 with every array
+    C-ordered (frames, N): the frames-first formulation of channel._simulate_chunk."""
+    n, k = spec.n_bits, spec.k_bits
+    msgs = np.empty((count, k), dtype=np.uint8)
+    noise = np.empty((count, n))
+    end = start + count
+    for block in range(start // BLOCK_FRAMES, -(-end // BLOCK_FRAMES)):
+        rng = np.random.default_rng([seed, point_index, block])
+        first = block * BLOCK_FRAMES
+        lo, hi = max(start, first), min(end, first + BLOCK_FRAMES)
+        rows, taken = slice(lo - start, hi - start), slice(lo - first, hi - first)
+        msgs[rows] = rng.integers(0, 2, size=(BLOCK_FRAMES, k), dtype=np.uint8)[taken]
+        noise[rows] = rng.standard_normal((BLOCK_FRAMES, n))[taken]
+    u = expand_message(msgs, spec)
+    x = stage_transform(u, spec.kernels)
+    u_hat, _ = decoder.decode_batch(awgn_llr(modulate(x), sigma2, noise))
+    assert u.flags.c_contiguous and u_hat.flags.c_contiguous
+    bad = u_hat != u
+    return int(bad.any(axis=1).sum()), int(bad[:, spec.info_indices].sum())
 
 
 def noiseless_llrs(x, magnitude=6.0):

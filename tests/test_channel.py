@@ -5,7 +5,9 @@ import pytest
 
 from mkpolar import channel, fast_ssc
 from mkpolar.channel import StopRule, awgn_llr, modulate, noise_variance, run_fer
-from mkpolar.construction import design_code
+from mkpolar.construction import construct_code, design_code
+
+from conftest import frames_first_chunk
 
 
 class TestModulate:
@@ -163,6 +165,20 @@ class TestRunFer:
         old_fer = old_errors / old_frames
         sd = math.sqrt(old_fer * (1 - old_fer) * (1 / old_frames + 1 / point.frames))
         assert abs(point.fer - old_fer) <= 4 * sd
+
+    @pytest.mark.parametrize("seed", (3, 11))
+    @pytest.mark.parametrize("start,count", ((0, 1), (37, 100), (64, 64), (5, 1024)))
+    @pytest.mark.parametrize("n", (96, 144))
+    @pytest.mark.parametrize("kind", channel.DECODER_KINDS)
+    def test_chunk_matches_frames_first_oracle(self, kind, n, start, count, seed):
+        # Starts 37 and 5 are not multiples of BLOCK_FRAMES, so chunks begin
+        # and end inside a block.
+        spec = construct_code(n, n // 2, ebn0_db=1.0)
+        decoder = channel._make_decoder(kind, spec, None)
+        args = (start, count, spec, noise_variance(1.0, spec.rate), seed, 1)
+        expected = frames_first_chunk(decoder, *args)
+        assert channel._simulate_chunk(decoder, *args) == expected
+        assert expected[0] > 0 or count == 1
 
     def test_seed_changes_results(self, spec96):
         stop = StopRule(max_frames=1024, min_frame_errors=10_000)

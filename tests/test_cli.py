@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mkpolar
 from mkpolar import channel, cli
 from mkpolar.construction import construct_code
 from mkpolar.encoding import encode_message
@@ -95,6 +100,73 @@ class TestConstruct:
     def test_bad_kernel_vector_rejected(self, capsys):
         assert run_cli(["construct", "--kernels", "2,5", "--k", "3"]) == 2
         assert "kernel" in capsys.readouterr().err
+
+
+# Code lengths above MAX_CODE_LENGTH. Each case below ran out of memory (SIGKILL
+# or a numpy _ArrayMemoryError) or, for the length that is no product of 2s
+# and 3s, searched for its neighbours without end, before the cap existed.
+HUGE_N = 2**60
+HUGE_KERNELS = ",".join(["2"] * 60)
+
+
+def run_capped(code, *argv):
+    """Run Python code in a child limited to 2 GB of address space, so a
+    regression fails with MemoryError instead of exhausting the machine."""
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(mkpolar.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", limit + code, *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+class TestCodeLengthCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--n", str(HUGE_N), "--k", "5"],
+            ["construct", "--n", str(HUGE_N), "--k", "5", "--order", "hr"],
+            ["construct", "--n", str(10**18 + 1), "--k", "5"],
+            ["simulate", "--kernels", HUGE_KERNELS, "--k", "5", "--snr", "1"],
+            ["encode", "--spec", "{spec}", "--message", "0"],
+        ],
+        ids=("construct", "construct_hr", "construct_unsupported", "simulate", "encode_spec"),
+    )
+    def test_cli_exits_2_with_one_line(self, tmp_path, argv):
+        spec = tmp_path / "huge.spec"
+        spec.write_text(f"N {HUGE_N}\nK {HUGE_N}\nkernels {HUGE_KERNELS}\n")
+        argv = [a.format(spec=spec) for a in argv] + (["--out", str(tmp_path)] if argv[0] == "construct" else [])
+        main = "import sys; from mkpolar.cli import main; sys.exit(main(sys.argv[1:]))"
+        result = run_capped(main, *argv)
+        assert result.returncode == 2, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1 and "65536" in result.stderr
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "CodeSpec(n_bits=2**60, k_bits=2**60, kernels=(2,) * 60, frozen=[])",
+            "design_code((2,) * 60, 5)",
+            "ga_reliabilities((2,) * 60, 0.5, 1.0)",
+            "order_kernels(60, 0, OrderingStrategy.HIGHEST_RELIABILITY)",
+            "order_kernels(0, 38, OrderingStrategy.FIRST)",
+        ],
+    )
+    def test_library_raises_before_allocating(self, call):
+        code = (
+            "from mkpolar.construction import *\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = run_capped(code)
+        assert result.returncode == 0, result.stderr
+        assert "above the maximum of 65536" in result.stdout
+
+    def test_longest_code_is_accepted(self):
+        assert mkpolar.kernels.MAX_CODE_LENGTH == 2**16
+        assert mkpolar.kernels.validate_kernel_vector((2,) * 16) == (2,) * 16
+        with pytest.raises(ValueError, match="above the maximum"):
+            mkpolar.kernels.validate_kernel_vector((2,) * 15 + (3,))
 
 
 class TestEncodeDecode:

@@ -1,9 +1,11 @@
-"""Decoders and the stage transform give the same results whatever the memory layout of their input."""
+"""Decoders, message expansion and the stage transform give the same results whatever the
+memory layout of their input, in the memory order of that input."""
 
 import numpy as np
 import pytest
 
 from mkpolar.construction import construct_code
+from mkpolar.encoding import expand_message
 from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator, stage_transform
 
 from conftest import DECODERS
@@ -30,6 +32,17 @@ def _layouts(llrs):
     }
 
 
+# The memory order each layout's (batch, N) results come back in: F-contiguous
+# inputs get the frames-last arrays themselves, any other input a C-ordered copy.
+RESULT_ORDER = {
+    "c": "C_CONTIGUOUS",
+    "fortran": "F_CONTIGUOUS",
+    "transposed-view": "F_CONTIGUOUS",
+    "row-strided": "C_CONTIGUOUS",
+    "column-sliced": "C_CONTIGUOUS",
+}
+
+
 @pytest.mark.parametrize("batch", (0, 1, 37))
 @pytest.mark.parametrize("kind", DECODERS)
 def test_decode_batch_does_not_depend_on_input_layout(kind, batch, spec, rng):
@@ -44,7 +57,7 @@ def test_decode_batch_does_not_depend_on_input_layout(kind, batch, spec, rng):
     for name, layout in _layouts(llrs).items():
         u_hat, x_hat = decoder.decode_batch(layout)
         assert u_hat.shape == x_hat.shape == (batch, n), name
-        assert u_hat.flags.c_contiguous and x_hat.flags.c_contiguous, name
+        assert u_hat.flags[RESULT_ORDER[name]] and x_hat.flags[RESULT_ORDER[name]], name
         for frame, (u, x) in enumerate(singles):
             assert np.array_equal(u_hat[frame], u), (name, frame)
             assert np.array_equal(x_hat[frame], x), (name, frame)
@@ -69,3 +82,14 @@ def test_stage_transform_keeps_the_memory_order_of_its_input(rng):
     f_result = stage_transform(np.asfortranarray(u), kv)
     assert c_result.flags.c_contiguous and f_result.flags.f_contiguous
     assert np.array_equal(c_result, expected) and np.array_equal(f_result, expected)
+
+
+@pytest.mark.parametrize("batch", (1, 37))
+def test_expand_message_keeps_the_memory_order_of_its_input(batch, spec, rng):
+    msgs = rng.integers(0, 2, (batch, spec.k_bits), dtype=np.uint8)
+    expected = np.zeros((batch, spec.n_bits), dtype=np.uint8)
+    expected[:, spec.info_indices] = msgs
+    for name, layout in _layouts(msgs).items():
+        u = expand_message(layout, spec)
+        assert u.flags[RESULT_ORDER[name]], name
+        assert np.array_equal(u, expected), name
