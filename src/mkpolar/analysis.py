@@ -122,8 +122,10 @@ def sweep_fixed_k(k_bits=164, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB,
     For each target rate the nearest supported length above K is used; the
     emitted R is the realized k/N.
     """
-    from .kernels import is_valid_length, nearest_valid_lengths
+    from .kernels import MAX_CODE_LENGTH, is_valid_length, nearest_valid_lengths
 
+    if k_bits >= MAX_CODE_LENGTH:  # no code fits; for a huge K the search below never ends
+        raise ValueError(f"K {k_bits} needs a code length above the maximum of {MAX_CODE_LENGTH}")
     rows = []
     for rate in rates:
         target = max(int(round(k_bits / rate)), k_bits + 1)

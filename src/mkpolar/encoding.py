@@ -13,8 +13,8 @@ def expand_message(a, spec):
     """Place the K message bits into the information positions of a sourceword.
 
     Frozen positions are zero. Accepts a batch with the message bits on the
-    trailing axis and returns it in the memory order of its input; raises
-    ValueError on any entry other than 0 or 1.
+    trailing axis and returns the sourcewords in the memory order of the
+    input; raises ValueError on any entry other than 0 or 1.
     """
     a = np.asarray(a)
     if a.shape[-1] != spec.k_bits:

@@ -103,8 +103,8 @@ class TestConstruct:
 
 
 # Code lengths above MAX_CODE_LENGTH. Each case below ran out of memory (SIGKILL
-# or a numpy _ArrayMemoryError) or, for the length that is no product of 2s
-# and 3s, searched for its neighbours without end, before the cap existed.
+# or a numpy _ArrayMemoryError) or, for a length that is no product of 2s and
+# 3s, searched for the nearest supported lengths without end, before the cap.
 HUGE_N = 2**60
 HUGE_KERNELS = ",".join(["2"] * 60)
 
@@ -123,20 +123,19 @@ class TestCodeLengthCap:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["construct", "--n", str(HUGE_N), "--k", "5"],
-            ["construct", "--n", str(HUGE_N), "--k", "5", "--order", "hr"],
-            ["construct", "--n", str(10**18 + 1), "--k", "5"],
+            ["construct", "--n", str(HUGE_N), "--k", "5", "--out", "{tmp}"],
+            ["construct", "--n", str(HUGE_N), "--k", "5", "--order", "hr", "--out", "{tmp}"],
+            ["construct", "--n", str(10**18 + 1), "--k", "5", "--out", "{tmp}"],
             ["simulate", "--kernels", HUGE_KERNELS, "--k", "5", "--snr", "1"],
-            ["encode", "--spec", "{spec}", "--message", "0"],
+            ["encode", "--spec", "{tmp}/huge.spec", "--message", "0"],
+            ["analyze", "--sweep-k", str(10**18)],
         ],
-        ids=("construct", "construct_hr", "construct_unsupported", "simulate", "encode_spec"),
+        ids=("construct", "construct_hr", "construct_unsupported", "simulate", "encode_spec", "sweep_k"),
     )
     def test_cli_exits_2_with_one_line(self, tmp_path, argv):
-        spec = tmp_path / "huge.spec"
-        spec.write_text(f"N {HUGE_N}\nK {HUGE_N}\nkernels {HUGE_KERNELS}\n")
-        argv = [a.format(spec=spec) for a in argv] + (["--out", str(tmp_path)] if argv[0] == "construct" else [])
+        (tmp_path / "huge.spec").write_text(f"N {HUGE_N}\nK {HUGE_N}\nkernels {HUGE_KERNELS}\n")
         main = "import sys; from mkpolar.cli import main; sys.exit(main(sys.argv[1:]))"
-        result = run_capped(main, *argv)
+        result = run_capped(main, *(a.format(tmp=tmp_path) for a in argv))
         assert result.returncode == 2, result.stderr
         assert len(result.stderr.strip().splitlines()) == 1 and "65536" in result.stderr
 
@@ -152,7 +151,8 @@ class TestCodeLengthCap:
     )
     def test_library_raises_before_allocating(self, call):
         code = (
-            "from mkpolar.construction import *\n"
+            "from mkpolar.construction import (\n"
+            "    CodeSpec, OrderingStrategy, design_code, ga_reliabilities, order_kernels)\n"
             "try:\n"
             f"    {call}\n"
             "except ValueError as exc:\n"
