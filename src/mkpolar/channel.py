@@ -135,8 +135,10 @@ def run_fer(
 ):
     """Monte-Carlo FER/BER sweep of one code.
 
-    By default the frozen set is redesigned by GA at each operating point;
-    pass redesign_per_snr=False to keep the frozen set of `spec` throughout.
+    By default the frozen set is redesigned by GA at each operating point,
+    except at a point whose Eb/N0 equals spec.design_ebn0_db, where design_code
+    would rebuild `spec` itself; pass redesign_per_snr=False to keep the frozen
+    set of `spec` throughout.
     Random messages are used rather than the all-zero codeword, drawn with
     their noise from an RNG keyed on (seed, SNR point index, 64-frame block
     index). Results are reproducible for a given (seed, spec, snrs, stop),
@@ -157,7 +159,7 @@ def run_fer(
         for point_index, (ebn0_db, sigma2) in enumerate(channels):
             point_spec = (
                 design_code(spec.kernels, spec.k_bits, ebn0_db=ebn0_db)
-                if redesign_per_snr
+                if redesign_per_snr and ebn0_db != spec.design_ebn0_db
                 else spec
             )
             simulate = partial(

@@ -191,12 +191,14 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
 
 @dataclass(eq=False)
 class CodeSpec:
-    """Complete definition of one code: length, dimension, kernels, frozen set."""
+    """Complete definition of one code: length, dimension, kernels, frozen set,
+    and the Eb/N0 design_code chose it at (None if built by hand or loaded)."""
 
     n_bits: int
     k_bits: int
     kernels: tuple
     frozen: np.ndarray = field(repr=False)
+    design_ebn0_db: float | None = None
 
     def __post_init__(self):
         self.kernels = validate_kernel_vector(self.kernels)
@@ -238,7 +240,7 @@ def design_code(kernels, k_bits, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     else:
         # Degenerate all-frozen / all-information codes skip GA.
         frozen = np.full(n, 1 if k_bits == 0 else 0, dtype=np.uint8)
-    return CodeSpec(n_bits=n, k_bits=k_bits, kernels=kernels, frozen=frozen)
+    return CodeSpec(n, k_bits, kernels, frozen, design_ebn0_db=ebn0_db)
 
 
 def construct_code(n_bits, k_bits, ordering=OrderingStrategy.LAST, ebn0_db=DEFAULT_DESIGN_EBN0_DB):

@@ -7,7 +7,9 @@ LLR maps to their left and right children; ternary nodes apply lambda0/1/2 to
 left, center and right. Partial sums travel back up through the node's kernel
 (kernels.apply_kernel). LLR sign convention: positive means bit 0; an LLR of
 exactly zero decides 1 on an unfrozen bit. Fast-SSC without SPC is bit-exact
-to SC for tie-free LLRs only (see fast_ssc.py).
+to SC for tie-free LLRs only (see fast_ssc.py). The box-plus max(min(a, b),
+-max(a, b)) is exact, so every LLR has the value of its textbook formula; only
+the sign of an exact zero may differ, and no decision (<= 0, |.|, a sum) sees it.
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
@@ -26,10 +28,11 @@ from .kernels import apply_kernel
 def f_op(l0, l1):
     """Min-sum box-plus: sign(l0) sign(l1) min(|l0|, |l1|).
 
-    The sign comes from l0 * (+-1), which is exact, so no input overflows or
-    raises an invalid-value warning as l0 * l1 would at 1e308 or inf * 0.
+    Computed as max(min(l0, l1), -max(l0, l1)), the same value in four exact
+    numpy passes with no product, so no input overflows or warns as l0 * l1
+    would at 1e308 or inf * 0. Only a zero's sign may differ: f(+0, -0) is +0.
     """
-    return np.copysign(np.minimum(np.abs(l0), np.abs(l1)), l0 * np.copysign(1.0, l1))
+    return np.maximum(np.minimum(l0, l1), np.negative(np.maximum(l0, l1)))
 
 
 def g_op(l0, l1, u0):

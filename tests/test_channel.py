@@ -5,7 +5,7 @@ import pytest
 
 from mkpolar import channel, fast_ssc
 from mkpolar.channel import StopRule, awgn_llr, modulate, noise_variance, run_fer
-from mkpolar.construction import construct_code, design_code
+from mkpolar.construction import CodeSpec, construct_code, design_code
 
 from conftest import frames_first_chunk
 
@@ -137,6 +137,29 @@ class TestRunFer:
             {"ebn0_db": 2.0, "frames": 256, "frame_errors": 54, "bit_errors": 670},
             {"ebn0_db": 3.0, "frames": 600, "frame_errors": 27, "bit_errors": 331},
         ]
+
+    def test_no_redesign_at_the_design_point(self, monkeypatch):
+        # A point at the spec's own design Eb/N0 reuses it; a spec built by
+        # hand (design_ebn0_db None) is redesigned there, to the same code.
+        calls = []
+        design = channel.design_code
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["ebn0_db"])
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "design_code", counted)
+        spec = construct_code(96, 48, ebn0_db=2.0)
+        by_hand = CodeSpec(spec.n_bits, spec.k_bits, spec.kernels, spec.frozen.copy())
+        assert (spec.design_ebn0_db, by_hand.design_ebn0_db) == (2.0, None)
+        stop = StopRule(max_frames=300, min_frame_errors=1000)
+        for snrs, redesigned in (((2.0,), []), ((2.0, 2.5), [2.5])):
+            calls.clear()
+            rows = run_fer(spec, decoder="fastssc", snrs=snrs, stop=stop, seed=4).rows()
+            assert calls == redesigned
+            calls.clear()
+            assert run_fer(by_hand, decoder="fastssc", snrs=snrs, stop=stop, seed=4).rows() == rows
+            assert calls == list(snrs)
 
     def test_reproducible_across_batch_sizes(self, spec96):
         # 1000 frames is no multiple of the 64-frame RNG block, and batches of

@@ -20,6 +20,64 @@ from conftest import kernel_vectors, noiseless_llrs, spec_with_frozen
 
 nonzero_llr = st.floats(-50, 50).filter(lambda v: abs(v) > 1e-6)
 
+# The decoder saturates channel LLRs to +-max / (2N); at N = 2 no sum of two
+# saturated values overflows. The min-sum steps also see +-inf and +-max.
+BOUND = np.finfo(float).max / (2 * 2)
+TINY = np.nextafter(0.0, 1.0)
+EDGES = [0.0, -0.0, TINY, -TINY, 1.0, -1.0, BOUND, -BOUND]
+saturated_llr = st.one_of(st.sampled_from(EDGES), st.floats(-BOUND, BOUND))
+any_llr = st.one_of(
+    st.sampled_from(EDGES + [np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def llr_step_inputs(draw, n_llrs, n_sums, elements):
+    """Inputs of one LLR step: n_llrs LLR operands and n_sums partial sums.
+
+    Operands come as scalars, as (q, 1) blocks or as (q, 37) row blocks of
+    one frames-last (n_llrs * q, 37) array, the views the tree walk passes;
+    partial sums are uint8 blocks of the same shape (Python ints for
+    scalars). Some entries of the later operands mirror the first with the
+    opposite sign, so equal magnitudes of opposite sign occur often.
+    """
+    batch = draw(st.sampled_from([None, 1, 37]))
+    q = 1 if batch is None else draw(st.integers(1, 4))
+    shape = (n_llrs * q, batch or 1)
+    llrs = np.array(draw(st.lists(elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])))
+    llrs = llrs.reshape(shape)
+    mirror = np.array(draw(st.lists(st.booleans(), min_size=q * shape[1], max_size=q * shape[1])))
+    mirror = mirror.reshape(q, shape[1])
+    for j in range(1, n_llrs):
+        llrs[j * q : (j + 1) * q][mirror] = -llrs[:q][mirror]
+    sums = np.array(draw(st.lists(st.integers(0, 1), min_size=n_sums * q * shape[1],
+                                  max_size=n_sums * q * shape[1])), dtype=np.uint8)
+    sums = sums.reshape(n_sums * q, shape[1])
+    operands = [llrs[j * q : (j + 1) * q] for j in range(n_llrs)]
+    partial_sums = [sums[j * q : (j + 1) * q] for j in range(n_sums)]
+    if batch is None:
+        operands = [float(v[0, 0]) for v in operands]
+        partial_sums = [int(v[0, 0]) for v in partial_sums]
+    return operands, partial_sums
+
+
+def textbook_boxplus(*llrs):
+    """prod sign(l_i) * min |l_i|, the min-sum box-plus of any number of LLRs."""
+    sign = np.prod([np.sign(v) for v in llrs], axis=0)
+    return sign * np.min([np.abs(v) for v in llrs], axis=0)
+
+
+def minus_one_to(u):
+    return np.power(-1.0, np.asarray(u))
+
+
+def assert_same_llrs(got, want):
+    """Equal values (+0 == -0) and equal hard decisions."""
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.asarray(got) <= 0, np.asarray(want) <= 0)
+
 
 class TestLlrOps:
     def test_f_op(self):
@@ -59,6 +117,43 @@ class TestLlrOps:
         assert lambda2(2.0, 3.0, 1, 1) == pytest.approx(1.0)
         assert lambda2(2.0, 3.0, 0, 0) == pytest.approx(5.0)
         assert lambda2(2.0, 3.0, 0, 1) == pytest.approx(-1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(llr_step_inputs(2, 0, any_llr))
+    @settings(max_examples=200, deadline=None)
+    def test_f_op_matches_textbook(self, inputs):
+        (l0, l1), _ = inputs
+        assert_same_llrs(f_op(l0, l1), textbook_boxplus(l0, l1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(llr_step_inputs(3, 0, any_llr))
+    @settings(max_examples=200, deadline=None)
+    def test_lambda0_matches_textbook(self, inputs):
+        (l0, l1, l2), _ = inputs
+        assert_same_llrs(lambda0(l0, l1, l2), textbook_boxplus(l0, l1, l2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(llr_step_inputs(2, 1, saturated_llr))
+    @settings(max_examples=200, deadline=None)
+    def test_g_op_matches_textbook(self, inputs):
+        (l0, l1), (u0,) = inputs
+        assert_same_llrs(g_op(l0, l1, u0), minus_one_to(u0) * l0 + l1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(llr_step_inputs(3, 1, saturated_llr))
+    @settings(max_examples=200, deadline=None)
+    def test_lambda1_matches_textbook(self, inputs):
+        (l0, l1, l2), (u0,) = inputs
+        want = minus_one_to(u0) * l0 + textbook_boxplus(l1, l2)
+        assert_same_llrs(lambda1(l0, l1, l2, u0), want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(llr_step_inputs(2, 2, saturated_llr))
+    @settings(max_examples=200, deadline=None)
+    def test_lambda2_matches_textbook(self, inputs):
+        (l1, l2), (u0, u1) = inputs
+        want = minus_one_to(u0) * l1 + minus_one_to(np.bitwise_xor(u0, u1)) * l2
+        assert_same_llrs(lambda2(l1, l2, u0, u1), want)
 
     @given(nonzero_llr, nonzero_llr)
     @settings(max_examples=200, deadline=None)
