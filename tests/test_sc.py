@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mkpolar.encoding import expand_message
 from mkpolar.kernels import stage_transform
@@ -44,16 +45,12 @@ def llr_step_inputs(draw, n_llrs, n_sums, elements):
     """
     batch = draw(st.sampled_from([None, 1, 37]))
     q = 1 if batch is None else draw(st.integers(1, 4))
-    shape = (n_llrs * q, batch or 1)
-    llrs = np.array(draw(st.lists(elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])))
-    llrs = llrs.reshape(shape)
-    mirror = np.array(draw(st.lists(st.booleans(), min_size=q * shape[1], max_size=q * shape[1])))
-    mirror = mirror.reshape(q, shape[1])
+    width = batch or 1
+    llrs = draw(arrays(float, (n_llrs * q, width), elements=elements))
+    mirror = draw(arrays(bool, (q, width)))
     for j in range(1, n_llrs):
         llrs[j * q : (j + 1) * q][mirror] = -llrs[:q][mirror]
-    sums = np.array(draw(st.lists(st.integers(0, 1), min_size=n_sums * q * shape[1],
-                                  max_size=n_sums * q * shape[1])), dtype=np.uint8)
-    sums = sums.reshape(n_sums * q, shape[1])
+    sums = draw(arrays(np.uint8, (n_sums * q, width), elements=st.integers(0, 1)))
     operands = [llrs[j * q : (j + 1) * q] for j in range(n_llrs)]
     partial_sums = [sums[j * q : (j + 1) * q] for j in range(n_sums)]
     if batch is None:
