@@ -14,9 +14,11 @@ where phi and its inverse use the standard two-branch exponential
 approximations (Trifonov, IEEE TCOM 2012). The K most reliable leaves form
 the information set. GA evolves a whole stage at once over numpy arrays; the
 means after stage j depend only on the first j kernels, so highest-reliability
-ordering computes each kernel prefix's means once.
+ordering evolves its arrangements level by level, each kernel prefix once, with
+one call per kernel per level for all prefixes, capped at 4N means.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -57,7 +59,7 @@ def _phi_inv(y):
 
 def phi(x):
     """Mean-to-expectation proxy phi(x), approximated in two branches."""
-    if x < 0:
+    if not x >= 0:  # also rejects NaN
         raise ValueError(f"phi requires x >= 0, got {x}")
     return float(_phi(np.array([x], dtype=float))[0])
 
@@ -118,19 +120,33 @@ def ga_reliabilities(kv, rate, ebn0_db):
     return z
 
 
-def _arrangements(z, n_two, n_three):
-    """Yield (kv, means) for each arrangement of the kernels left below means z.
+def _evolve_arrangements(n_two, n_three, rate, ebn0_db):
+    """Yield (kv, GA means) for every arrangement of n_two 2s and n_three 3s, in
+    itertools.combinations order over the ternary positions (a 3 before a 2 at each slot).
 
-    A 3 goes before a 2 at each slot (itertools.combinations order over the
-    ternary positions); each prefix's means are shared by all its extensions.
+    Level by level, all prefixes of a run that take a 3 next share one _ga_stage call and
+    all that take a 2 another; _ga_stage is elementwise, so each prefix's slice is bit for
+    bit its own evolution. Levels are cut into runs of at most 4N means, done in order, so
+    no call and no level held grows with the number of arrangements.
     """
-    if n_two == n_three == 0:
-        yield (), z
-        return
-    for k, left_two, left_three in ((3, n_two, n_three - 1), (2, n_two - 1, n_three)):
-        if left_two >= 0 and left_three >= 0:
-            for kv, means in _arrangements(_ga_stage(z, k), left_two, left_three):
-                yield (k,) + kv, means
+    stages, max_width = n_two + n_three, 4 * 2**n_two * 3**n_three
+    slots = ((3, n_three), (2, n_two))
+    pending = [[((), _initial_mean(rate, ebn0_db))]]
+    while pending:
+        run = pending.pop()
+        children = {}
+        for k, count in slots:
+            takers = [means for kv, means in run if kv.count(k) < count]
+            if takers:
+                out = _ga_stage(np.concatenate(takers), k)
+                bounds = itertools.accumulate((k * len(means) for means in takers), initial=0)
+                children[k] = iter([out[a:b] for a, b in itertools.pairwise(bounds)])
+        level = [(kv + (k,), next(children[k])) for kv, _ in run for k, count in slots if kv.count(k) < count]
+        if len(level[0][0]) == stages:
+            yield from level
+            continue
+        size = max_width // max(len(means) for _, means in level)
+        pending.extend(reversed([level[i : i + size] for i in range(0, len(level), size)]))
 
 
 def select_frozen(z, k_bits):
@@ -142,6 +158,8 @@ def select_frozen(z, k_bits):
     n = len(z)
     if not 0 <= k_bits <= n:
         raise ValueError(f"k_bits must be in [0, {n}], got {k_bits}")
+    if np.isnan(z).any():
+        raise ValueError("reliabilities must not be NaN")
     order = np.argsort(z, kind="stable")
     mask = np.zeros(n, dtype=np.uint8)
     mask[order[: n - k_bits]] = 1
@@ -166,7 +184,8 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
     largest GA means (K = round(rate * N)) and returns the best; ties keep
     the arrangement whose ternary positions come first in
     itertools.combinations order, i.e. a 3 before a 2 at the first slot
-    where two arrangements differ.
+    where two arrangements differ. Arrangements are evolved level by level in
+    that order, each prefix once, one GA call per kernel per level, capped at 4N means.
     """
     if n_two < 0 or n_three < 0 or n_two + n_three < 1:
         raise ValueError(f"need at least one kernel, got n_two={n_two}, n_three={n_three}")
@@ -182,7 +201,7 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
 
     k_bits = round(rate * n)
     best_kv, best_score = None, -math.inf
-    for kv, z in _arrangements(_initial_mean(rate, ebn0_db), n_two, n_three):
+    for kv, z in _evolve_arrangements(n_two, n_three, rate, ebn0_db):
         score = np.sort(z)[n - k_bits :].sum()
         if score > best_score:
             best_kv, best_score = kv, score

@@ -119,15 +119,6 @@ def gf2_vecmat(u, m):
     return (u.astype(np.uint32) @ m.astype(np.uint32)) % 2
 
 
-def gf2_matmul(a, b):
-    """Matrix product over GF(2)."""
-    a = np.asarray(a, dtype=np.uint32)
-    b = np.asarray(b, dtype=np.uint32)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return ((a @ b) % 2).astype(np.uint8)
-
-
 def apply_kernel(v, k, inverse=False):
     """Multiply axis -2 of v (length k) by T_k, or T_k^-1, in place over GF(2)."""
     steps = KERNEL_STEPS[k]

@@ -39,6 +39,15 @@ def kernel_vectors(max_n, min_n=2):
     return [kv for kv in found if kv]
 
 
+def gf2_matmul(a, b):
+    """Matrix product over GF(2)."""
+    a = np.asarray(a, dtype=np.uint32)
+    b = np.asarray(b, dtype=np.uint32)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    return ((a @ b) % 2).astype(np.uint8)
+
+
 def spec_with_frozen(kv, frozen):
     frozen = np.asarray(frozen, dtype=np.uint8)
     n = math.prod(kv)

@@ -25,13 +25,12 @@ from mkpolar.channel import StopRule, run_fer
 from mkpolar.kernels import (
     factor_length,
     generator_matrix,
-    gf2_matmul,
     inverse_generator,
     stage_transform,
 )
 from mkpolar.sc import SCDecoder
 
-from conftest import kernel_vectors, rate1_spec
+from conftest import gf2_matmul, kernel_vectors, rate1_spec
 
 # Reference values: SC ops, Fast-SSC ops and per-class node counts for every
 # (N, R) at ternary-last / ternary-first orderings, GA design at 3 dB.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mkpolar.construction import (
     CodeSpec,
     OrderingStrategy,
+    _evolve_arrangements,
     construct_code,
     design_code,
     ga_reliabilities,
@@ -36,6 +37,10 @@ class TestPhi:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             phi(-0.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="requires x >= 0, got nan"):
+            phi(float("nan"))
 
     def test_strictly_decreasing(self):
         xs = np.arange(0.0, 30.0, 0.01)
@@ -189,6 +194,11 @@ class TestSelectFrozen:
         b = select_frozen(z, 6)
         assert np.array_equal(a, b)
 
+    def test_rejects_nan(self):
+        # argsort would rank a NaN as the most reliable index and unfreeze it.
+        with pytest.raises(ValueError, match="must not be NaN"):
+            select_frozen([1.0, float("nan"), 0.5], 1)
+
 
 class TestOrderKernels:
     def test_last(self):
@@ -211,6 +221,26 @@ class TestOrderKernels:
         # itertools.combinations order over the ternary positions wins.
         got = order_kernels(n_two, n_three, OrderingStrategy.HIGHEST_RELIABILITY, rate=0.001)
         assert got == (3,) * n_three + (2,) * n_two
+
+    @pytest.mark.parametrize("n", (6, 18, 54, 96, 162, 432, 486, 768, 1296, 2304, 3888, 6912))
+    def test_highest_reliability_evolves_every_arrangement_exactly(self, n):
+        # The batched evolution yields every arrangement in combinations order with
+        # the means of its own GA bit for bit, and the first best score wins.
+        n_two, n_three = factor_length(n)
+        slots = n_two + n_three
+        arrangements = [
+            tuple(3 if i in pos else 2 for i in range(slots))
+            for pos in itertools.combinations(range(slots), n_three)
+        ]
+        for rate, ebn0_db in itertools.product((0.25, 0.5, 0.75), (-1.0, 2.0, 5.0)):
+            evolved = list(_evolve_arrangements(n_two, n_three, rate, ebn0_db))
+            assert [kv for kv, _ in evolved] == arrangements
+            scores = []
+            for kv, z in evolved:
+                assert np.array_equal(z, ga_reliabilities(kv, rate, ebn0_db)), kv
+                scores.append(np.sort(z)[n - round(rate * n) :].sum())
+            best = arrangements[scores.index(max(scores))]
+            assert order_kernels(n_two, n_three, OrderingStrategy.HIGHEST_RELIABILITY, rate, ebn0_db) == best
 
     def test_highest_reliability_pure_kernels(self):
         assert order_kernels(3, 0, OrderingStrategy.HIGHEST_RELIABILITY) == (2, 2, 2)
