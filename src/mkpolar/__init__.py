@@ -35,7 +35,6 @@ from .kernels import (
     T2,
     T3,
     generator_matrix,
-    gf2_vecmat,
     inverse_generator,
     kron,
     stage_transform,

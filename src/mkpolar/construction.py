@@ -211,7 +211,11 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
 @dataclass(eq=False)
 class CodeSpec:
     """Complete definition of one code: length, dimension, kernels, frozen set,
-    and the Eb/N0 design_code chose it at (None if built by hand or loaded)."""
+    and the Eb/N0 design_code chose it at (None if built by hand or loaded).
+
+    Every check of a code is made here, each failing with a one-line ValueError:
+    the kernels, N, K and the frozen mask, and in from_frozen_indices each index.
+    """
 
     n_bits: int
     k_bits: int
@@ -219,13 +223,27 @@ class CodeSpec:
     frozen: np.ndarray = field(repr=False)
     design_ebn0_db: float | None = None
 
+    @classmethod
+    def from_frozen_indices(cls, n_bits, k_bits, kernels, frozen_indices):
+        """CodeSpec freezing `frozen_indices`, each in 0..N-1 and listed once.
+        The mask is sized by the validated kernel product, never by n_bits."""
+        kernels = validate_kernel_vector(kernels)
+        frozen = np.zeros(math.prod(kernels), dtype=np.uint8)
+        for i in frozen_indices:
+            if not 0 <= i < len(frozen):
+                raise ValueError(f"frozen index {i} is outside 0..{len(frozen) - 1}")
+            if frozen[i]:
+                raise ValueError(f"frozen index {i} is listed twice")
+            frozen[i] = 1
+        return cls(n_bits, k_bits, kernels, frozen)
+
     def __post_init__(self):
         self.kernels = validate_kernel_vector(self.kernels)
         n = math.prod(self.kernels)
         if self.n_bits != n:
-            raise ValueError(f"n_bits={self.n_bits} does not match kernel product {n}")
-        if not 0 <= self.k_bits <= self.n_bits:
-            raise ValueError(f"k_bits must be in [0, {self.n_bits}], got {self.k_bits}")
+            raise ValueError(f"N {self.n_bits} != kernel product {n}")
+        if not 0 <= self.k_bits <= n:
+            raise ValueError(f"K {self.k_bits} is outside 0..{n}")
         self.frozen = np.asarray(self.frozen, dtype=np.uint8)
         if self.frozen.shape != (self.n_bits,):
             raise ValueError(f"frozen mask must have length {self.n_bits}")

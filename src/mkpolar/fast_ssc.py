@@ -139,8 +139,6 @@ class PrunedSchedule:
 
     root: ScheduleNode
     kernels: tuple
-    n_bits: int
-    frozen: np.ndarray = field(repr=False)
 
     def __iter__(self):
         stack = [self.root]
@@ -182,7 +180,7 @@ def build_schedule(spec, limits=None):
         return ScheduleNode(cls, depth, offset, span, kv_sub, None, children)
 
     root = make(0, 0, spec.n_bits)
-    return PrunedSchedule(root=root, kernels=kv, n_bits=spec.n_bits, frozen=spec.frozen.copy())
+    return PrunedSchedule(root=root, kernels=kv)
 
 
 def decode_rate1(alpha, kv_sub):

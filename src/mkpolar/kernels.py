@@ -110,15 +110,6 @@ def inverse_generator(kv):
     return reduce(kron, (KERNEL_INVERSES[k] for k in kv))
 
 
-def gf2_vecmat(u, m):
-    """Row vector times matrix over GF(2): result[j] = XOR_i u[i] * m[i, j]."""
-    u = np.asarray(u, dtype=np.uint8)
-    m = np.asarray(m, dtype=np.uint8)
-    if u.shape[-1] != m.shape[0]:
-        raise ValueError(f"dimension mismatch: vector length {u.shape[-1]} vs {m.shape[0]} rows")
-    return (u.astype(np.uint32) @ m.astype(np.uint32)) % 2
-
-
 def apply_kernel(v, k, inverse=False):
     """Multiply axis -2 of v (length k) by T_k, or T_k^-1, in place over GF(2)."""
     steps = KERNEL_STEPS[k]

@@ -9,7 +9,7 @@ from mkpolar.channel import BLOCK_FRAMES, awgn_llr, modulate
 from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
 from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
-from mkpolar.kernels import generator_matrix, gf2_vecmat, inverse_generator, stage_transform
+from mkpolar.kernels import generator_matrix, inverse_generator, stage_transform
 from mkpolar.sc import SCDecoder
 
 # The three decoder configurations whose outputs the equivalence tests compare.
@@ -37,6 +37,15 @@ def kernel_vectors(max_n, min_n=2):
 
     grow([], 1)
     return [kv for kv in found if kv]
+
+
+def gf2_vecmat(u, m):
+    """Row vector times matrix over GF(2): result[j] = XOR_i u[i] * m[i, j]."""
+    u = np.asarray(u, dtype=np.uint8)
+    m = np.asarray(m, dtype=np.uint8)
+    if u.shape[-1] != m.shape[0]:
+        raise ValueError(f"dimension mismatch: vector length {u.shape[-1]} vs {m.shape[0]} rows")
+    return (u.astype(np.uint32) @ m.astype(np.uint32)) % 2
 
 
 def gf2_matmul(a, b):

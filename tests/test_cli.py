@@ -1,20 +1,82 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mkpolar
 from mkpolar import channel, cli
 from mkpolar.construction import construct_code
 from mkpolar.encoding import encode_message
 
+from conftest import arbitrary_specs
+
 
 def run_cli(args):
     return cli.main(args)
+
+
+def run_cli_stderr(args):
+    """(exit status, stderr) of cli.main without pytest fixtures, for use under @given."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = cli.main(args)
+    return status, err.getvalue()
+
+
+def exits_cleanly(status, err):
+    """Success with nothing on stderr, or exit status 2 with exactly one line on stderr."""
+    return (status == 0 and err == "") or (status == 2 and err.count("\n") == 1 and err.endswith("\n"))
+
+
+SPEC_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from([str(2**60), "", "2,3", "3,2,2", ",", "1.5", "1e3"]),
+    st.lists(st.integers(-2, 14), max_size=7).map(lambda v: ",".join(map(str, v))),
+    st.text(max_size=6),
+)
+SPEC_LINES = st.builds(
+    "{} {}".format, st.sampled_from(["N", "K", "kernels", "frozen", "#", "note"]), SPEC_VALUES
+)
+
+
+@st.composite
+def spec_file_texts(draw):
+    """Spec file text near a valid one: N, K or a frozen index may be off, and up to
+    three lines are replaced, dropped or added."""
+    kv = draw(st.lists(st.sampled_from("23"), min_size=1, max_size=3))
+    n = math.prod(map(int, kv))
+    frozen = draw(st.one_of(st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+                            st.lists(st.integers(-1, n), max_size=n)))
+    k = n - len(frozen) + draw(st.sampled_from([0, 0, 1, -1]))
+    lines = [f"N {draw(st.sampled_from([n, n, n + 1, -n, 2**60]))}", f"K {k}", "kernels " + ",".join(kv),
+             "frozen " + ",".join(map(str, frozen))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + 1] = draw(st.lists(SPEC_LINES, max_size=2))
+    return "\n".join(lines)
+
+
+LLR_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "-1e-400", "1_0", ",", "0x1"]),
+)
+LLR_FILES = st.one_of(
+    st.lists(LLR_TOKENS, min_size=6, max_size=6).map(" ".join).map(str.encode),
+    st.lists(LLR_TOKENS, max_size=8).map(",".join).map(str.encode),
+    st.text(max_size=20).map(str.encode),
+    st.binary(max_size=24),
+)
 
 
 class TestSpecFiles:
@@ -27,6 +89,33 @@ class TestSpecFiles:
         assert loaded.k_bits == 48
         assert loaded.kernels == spec.kernels
         assert np.array_equal(loaded.frozen, spec.frozen)
+
+    @given(arbitrary_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_any_spec(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "code.spec"
+            cli.save_code_spec(spec, path)
+            loaded = cli.load_code_spec(path)
+        assert (loaded.n_bits, loaded.k_bits, loaded.kernels) == (spec.n_bits, spec.k_bits, spec.kernels)
+        assert np.array_equal(loaded.frozen, spec.frozen)
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "twice.spec"
+        path.write_text("N 6\nK 3\nK 4\nkernels 2,3\nfrozen 0,1\n")
+        assert run_cli(["schedule-export", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"mkpolar schedule-export: code spec file {path}: K is given twice"]
+
+    @given(st.one_of(spec_file_texts().map(str.encode), st.binary(max_size=40)))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_spec_file_loads_or_fails_in_one_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.spec"
+            path.write_bytes(data)
+            status, err = run_cli_stderr(["schedule-export", "--spec", str(path)])
+        assert exits_cleanly(status, err), (status, err)
 
     def test_malformed_raises(self, tmp_path):
         path = tmp_path / "bad.spec"
@@ -66,6 +155,13 @@ class TestSpecFiles:
 
 
 class TestConstruct:
+    @pytest.mark.parametrize("k", ["0", "6"])
+    def test_failure_writes_nothing(self, tmp_path, capsys, k):
+        outdir = tmp_path / "D"
+        assert run_cli(["construct", "--kernels", "2,3", "--k", k, "--out", str(outdir)]) == 2
+        assert "rate must be in (0, 1)" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_writes_spec_and_reliability(self, tmp_path):
         assert run_cli(["construct", "--n", "96", "--k", "48", "--order", "last",
                         "--ebn0", "3.0", "--out", str(tmp_path)]) == 0
@@ -147,6 +243,7 @@ class TestCodeLengthCap:
             "ga_reliabilities((2,) * 60, 0.5, 1.0)",
             "order_kernels(60, 0, OrderingStrategy.HIGHEST_RELIABILITY)",
             "order_kernels(0, 38, OrderingStrategy.FIRST)",
+            "CodeSpec.from_frozen_indices(2**60, 5, (2,) * 60, [2**61])",
         ],
     )
     def test_library_raises_before_allocating(self, call):
@@ -214,6 +311,24 @@ class TestEncodeDecode:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == ["mkpolar decode: LLR 2 of frame 0 is NaN"]
 
+
+    @pytest.mark.parametrize("decoder", ["sc", "fastssc"])
+    def test_wrong_llr_count_rejected_by_decoder(self, tmp_path, capsys, decoder):
+        llr_file = tmp_path / "llrs.txt"
+        llr_file.write_text("1.0 2.0 3.0")
+        assert run_cli(["decode", "--kernels", "2,3", "--k", "3", "--llrs", str(llr_file),
+                        "--decoder", decoder]) == 2
+        assert capsys.readouterr().err.splitlines() == ["mkpolar decode: expected 6 LLRs, got shape (3,)"]
+
+    @given(LLR_FILES, st.sampled_from(["sc", "fastssc"]))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_llr_text_decodes_or_fails_in_one_line(self, data, decoder):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "llrs.txt"
+            path.write_bytes(data)
+            status, err = run_cli_stderr(["decode", "--kernels", "2,3", "--k", "3",
+                                          "--llrs", str(path), "--decoder", decoder])
+        assert exits_cleanly(status, err), (status, err)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("decoder", ["sc", "fastssc"])

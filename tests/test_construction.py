@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,34 @@ class TestCodeSpec:
             CodeSpec(n_bits=6, k_bits=2, kernels=(2, 3), frozen=np.zeros(6, dtype=np.uint8))
         with pytest.raises(ValueError):
             CodeSpec(n_bits=6, k_bits=7, kernels=(2, 3), frozen=np.zeros(6, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "args,complaint",
+        [
+            ((6, 3, (2, 3), [0, 1, 9]), "frozen index 9 is outside 0..5"),
+            ((6, 3, (2, 3), [-1, 0, 1]), "frozen index -1 is outside 0..5"),
+            ((6, 3, (2, 3), [0, 1, 1]), "frozen index 1 is listed twice"),
+            ((10**12, 2, (2, 2), [0, 1]), "N 1000000000000 != kernel product 4"),
+            ((4, 5, (2, 2), [0, 1]), "K 5 is outside 0..4"),
+            ((4, -1, (2, 2), [0, 1]), "K -1 is outside 0..4"),
+            ((4, 3, (2, 2), [0, 1]), "frozen mask weight 2 != N - K = 1"),
+            ((6, 3, (2, 5), [0, 1, 2]), "unsupported kernel sizes [5]"),
+            ((1, 1, (), []), "kernel vector must be nonempty"),
+        ],
+        ids=("index_above", "index_negative", "index_twice", "n", "k_above", "k_negative",
+             "weight", "kernel", "no_kernels"),
+    )
+    def test_from_frozen_indices_messages(self, args, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            CodeSpec.from_frozen_indices(*args)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("kv,k", [((2, 3), 3), ((2, 2, 2, 2, 2, 3), 48), ((3, 3, 2), 0), ((3, 2), 6)])
+    def test_from_frozen_indices_equals_mask_constructor(self, rng, kv, k):
+        spec = design_code(kv, k)
+        built = CodeSpec.from_frozen_indices(spec.n_bits, k, kv, rng.permutation(spec.frozen_indices))
+        assert (built.n_bits, built.k_bits, built.kernels) == (spec.n_bits, spec.k_bits, spec.kernels)
+        assert built.frozen.dtype == np.uint8 and np.array_equal(built.frozen, spec.frozen)
 
     def test_construct_code_orderings(self):
         last = construct_code(96, 48, OrderingStrategy.LAST)

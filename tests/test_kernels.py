@@ -8,7 +8,6 @@ from mkpolar.kernels import (
     T3,
     factor_length,
     generator_matrix,
-    gf2_vecmat,
     inverse_generator,
     is_valid_length,
     kron,
@@ -17,7 +16,7 @@ from mkpolar.kernels import (
     validate_kernel_vector,
 )
 
-from conftest import gf2_matmul, kernel_vectors
+from conftest import gf2_matmul, gf2_vecmat, kernel_vectors
 
 KV_LE_96 = kernel_vectors(96)
 
