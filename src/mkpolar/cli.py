@@ -25,13 +25,7 @@ import numpy as np
 
 from . import analysis
 from .channel import DECODER_KINDS, StopRule, _make_decoder, run_fer
-from .construction import (
-    CodeSpec,
-    OrderingStrategy,
-    construct_code,
-    design_code,
-    ga_reliabilities,
-)
+from .construction import CodeSpec, OrderingStrategy, _construct, _design
 from .encoding import encode_message
 from .fast_ssc import NodeLimits, build_schedule
 
@@ -116,15 +110,21 @@ def _build_code(args):
     spec_path = getattr(args, "spec", None)  # construct and simulate have no --spec
     if spec_path:
         return load_code_spec(spec_path)
+    return _design_from_args(args)[0]
+
+
+def _design_from_args(args):
+    """(CodeSpec, GA means) of the code --kernels/--k or --n/--k describe; the
+    means are None for a K of 0 or N."""
     if args.kernels is not None:
         if args.k is None:
             raise CommandError("--kernels also needs --k")
-        return design_code(args.kernels.split(","), args.k, ebn0_db=args.ebn0)
+        return _design(args.kernels.split(","), args.k, args.ebn0)
     if args.n is None or args.k is None:
         raise CommandError("either --spec, --kernels or both --n and --k are required")
     if not 0 < args.k < args.n:
         raise CommandError(f"need 0 < K < N, got K={args.k}, N={args.n}")
-    return construct_code(args.n, args.k, ORDERINGS[args.order], ebn0_db=args.ebn0)
+    return _construct(args.n, args.k, ORDERINGS[args.order], args.ebn0)
 
 
 def _node_limits(args):
@@ -182,9 +182,11 @@ def parse_snr_range(text):
 
 
 def cmd_construct(args):
-    spec = _build_code(args)
-    # First, so a rate or Eb/N0 that GA rejects leaves no file behind.
-    z = ga_reliabilities(spec.kernels, spec.rate, args.ebn0)
+    # The report lists the means the design froze by; a code without them
+    # (K of 0 or N) is rejected before any file is written.
+    spec, z = _design_from_args(args)
+    if z is None:
+        raise CommandError(f"rate must be in (0, 1), got {spec.rate}")
     outdir = Path(args.out) if args.out else _default_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     label = analysis.ordering_label(spec.kernels)

@@ -15,7 +15,9 @@ approximations (Trifonov, IEEE TCOM 2012). The K most reliable leaves form
 the information set. GA evolves a whole stage at once over numpy arrays; the
 means after stage j depend only on the first j kernels, so highest-reliability
 ordering evolves its arrangements level by level, each kernel prefix once, with
-one call per kernel per level for all prefixes, capped at 4N means.
+one call per kernel per level for all prefixes, capped at 4N means. GA runs
+once per code: a highest-reliability code freezes by the means its ordering
+evolved for the winning arrangement, which equal that arrangement's GA bit for bit.
 """
 
 import itertools
@@ -187,25 +189,30 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
     where two arrangements differ. Arrangements are evolved level by level in
     that order, each prefix once, one GA call per kernel per level, capped at 4N means.
     """
+    return _order_kernels(n_two, n_three, strategy, rate, ebn0_db)[0]
+
+
+def _order_kernels(n_two, n_three, strategy, rate, ebn0_db):
+    """(order_kernels' kernel vector, the GA means HIGHEST_RELIABILITY evolved for it, else None)."""
     if n_two < 0 or n_three < 0 or n_two + n_three < 1:
         raise ValueError(f"need at least one kernel, got n_two={n_two}, n_three={n_three}")
     n = 2**n_two * 3**n_three
     if n > MAX_CODE_LENGTH:  # before any GA stage runs
         raise ValueError(f"code length {n} is above the maximum of {MAX_CODE_LENGTH}")
     if strategy == OrderingStrategy.FIRST:
-        return (3,) * n_three + (2,) * n_two
+        return (3,) * n_three + (2,) * n_two, None
     if strategy == OrderingStrategy.LAST:
-        return (2,) * n_two + (3,) * n_three
+        return (2,) * n_two + (3,) * n_three, None
     if strategy != OrderingStrategy.HIGHEST_RELIABILITY:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
 
     k_bits = round(rate * n)
-    best_kv, best_score = None, -math.inf
+    best, best_score = None, -math.inf
     for kv, z in _evolve_arrangements(n_two, n_three, rate, ebn0_db):
         score = np.sort(z)[n - k_bits :].sum()
         if score > best_score:
-            best_kv, best_score = kv, score
-    return best_kv
+            best, best_score = (kv, z), score
+    return best
 
 
 @dataclass(eq=False)
@@ -247,7 +254,7 @@ class CodeSpec:
         self.frozen = np.asarray(self.frozen, dtype=np.uint8)
         if self.frozen.shape != (self.n_bits,):
             raise ValueError(f"frozen mask must have length {self.n_bits}")
-        if not np.isin(self.frozen, (0, 1)).all():
+        if self.frozen.max() > 1:
             raise ValueError("frozen mask entries must be 0 or 1")
         if int(self.frozen.sum()) != self.n_bits - self.k_bits:
             raise ValueError(
@@ -269,20 +276,34 @@ class CodeSpec:
 
 def design_code(kernels, k_bits, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     """Build a CodeSpec with the frozen set chosen by GA at the given Eb/N0."""
+    return _design(kernels, k_bits, ebn0_db)[0]
+
+
+def _design(kernels, k_bits, ebn0_db, z=None):
+    """(design_code's CodeSpec, the GA means it froze by), running GA unless the
+    kernels' means z are given; the means are None for a K of 0 or N."""
     kernels = validate_kernel_vector(kernels)
     n = math.prod(kernels)
     if 0 < k_bits < n:
-        z = ga_reliabilities(kernels, k_bits / n, ebn0_db)
+        if z is None:
+            z = ga_reliabilities(kernels, k_bits / n, ebn0_db)
         frozen = select_frozen(z, k_bits)
     else:
         # Degenerate all-frozen / all-information codes skip GA.
+        z = None
         frozen = np.full(n, 1 if k_bits == 0 else 0, dtype=np.uint8)
-    return CodeSpec(n, k_bits, kernels, frozen, design_ebn0_db=ebn0_db)
+    return CodeSpec(n, k_bits, kernels, frozen, design_ebn0_db=ebn0_db), z
 
 
 def construct_code(n_bits, k_bits, ordering=OrderingStrategy.LAST, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
-    """Factor n_bits, order the kernels, and design the frozen set."""
+    """Factor n_bits, order the kernels, and design the frozen set; a
+    highest-reliability code reuses its ordering's GA means (see module docstring)."""
+    return _construct(n_bits, k_bits, ordering, ebn0_db)[0]
+
+
+def _construct(n_bits, k_bits, ordering, ebn0_db):
+    """(construct_code's CodeSpec, the GA means it froze by, None for a K of 0 or N)."""
     n_two, n_three = factor_length(n_bits)
     rate = k_bits / n_bits if 0 < k_bits < n_bits else 0.5
-    kv = order_kernels(n_two, n_three, ordering, rate=rate, ebn0_db=ebn0_db)
-    return design_code(kv, k_bits, ebn0_db=ebn0_db)
+    kv, z = _order_kernels(n_two, n_three, ordering, rate, ebn0_db)
+    return _design(kv, k_bits, ebn0_db, z)

@@ -23,6 +23,7 @@ sourceword bit, so without SPC the decoder is bit-exact to SC for tie-free
 LLRs only; on ties both return valid codewords.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from math import prod
@@ -81,26 +82,17 @@ def rep_pattern(kv_sub):
     return pat
 
 
-def classify_node(frozen_span, kv_sub, limits=None):
-    """Fast-node class of a subtree from its frozen mask and sub-kernel vector.
+def _classify(n_frozen, first_frozen, last_frozen, span, kv_sub, limits):
+    """Fast-node class from a node's frozen count and its first and last frozen bit.
 
-    Priority where patterns coincide: Rate0 > Rate1 > REP > SPC.
+    The one priority rule, Rate0 > Rate1 > REP > SPC where patterns coincide;
+    a span-1 node is Rate0 or Rate1.
     """
-    limits = limits or NodeLimits()
-    mask = np.asarray(frozen_span, dtype=np.uint8)
-    kv_sub = validate_kernel_vector(kv_sub)
-    span = len(mask)
-    if span < 2:
-        raise ValueError("classify_node requires span >= 2")
-    if span != prod(kv_sub):
-        raise ValueError(f"mask length {span} does not match kernel product")
-
-    n_frozen = np.count_nonzero(mask)
     if n_frozen == span:
         return NodeClass.RATE0
     if n_frozen == 0:
         return NodeClass.RATE1
-    if n_frozen == span - 1 and mask[-1] == 0:
+    if n_frozen == span - 1 and not last_frozen:
         n3 = kv_sub.count(3)
         if n3 == 0:
             return NodeClass.REP2
@@ -115,14 +107,31 @@ def classify_node(frozen_span, kv_sub, limits=None):
         if n3 == 1 and kv_sub[-1] == 3:
             return NodeClass.REP3C
         return NodeClass.GENERIC
-    if n_frozen == 1 and mask[0] == 1:
+    if n_frozen == 1 and first_frozen:
         if limits.spc_max_span is None or span <= limits.spc_max_span:
             return NodeClass.SPC
         return NodeClass.GENERIC
     return NodeClass.GENERIC
 
 
-@dataclass(frozen=True, eq=False)
+def classify_node(frozen_span, kv_sub, limits=None):
+    """Fast-node class of a subtree from its frozen mask and sub-kernel vector.
+
+    Checks the mask against the kernels, counts its frozen bits and applies
+    the priority rule build_schedule uses: Rate0 > Rate1 > REP > SPC.
+    """
+    mask = np.asarray(frozen_span, dtype=np.uint8)
+    kv_sub = validate_kernel_vector(kv_sub)
+    span = len(mask)
+    if span < 2:
+        raise ValueError("classify_node requires span >= 2")
+    if span != prod(kv_sub):
+        raise ValueError(f"mask length {span} does not match kernel product")
+    n_frozen = int(np.count_nonzero(mask))
+    return _classify(n_frozen, mask[0] == 1, mask[-1] != 0, span, kv_sub, limits or NodeLimits())
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ScheduleNode:
     node_class: NodeClass
     depth: int
@@ -160,27 +169,48 @@ def build_schedule(spec, limits=None):
 
     Classification is greedy: a recognized node becomes a leaf of the pruned
     tree, anything else recurses into its k children. Surviving single-bit
-    leaves are emitted as Rate0/Rate1.
+    leaves are emitted as Rate0/Rate1. Each node is classified by
+    classify_node's rule in O(1) Python work, from one prefix count of the
+    frozen mask and the node's first and last frozen bit. REP nodes of one
+    depth share one read-only pattern, and the schedule keeps no reference to
+    the spec.
     """
-    limits = limits or NodeLimits()
-    kv = spec.kernels
+    root = _ScheduleBuilder(spec, limits or NodeLimits()).node(0, 0, spec.n_bits)
+    return PrunedSchedule(root=root, kernels=spec.kernels)
 
-    def make(depth, offset, span):
-        if span == 1:
-            cls = NodeClass.RATE0 if spec.frozen[offset] else NodeClass.RATE1
-            return ScheduleNode(cls, depth, offset, span, kv_sub=())
-        kv_sub = kv[depth:]
-        cls = classify_node(spec.frozen[offset : offset + span], kv_sub, limits)
+
+class _ScheduleBuilder:
+    """Builds schedule nodes by recursion over plain lists of one code's frozen mask.
+
+    It holds no reference to the spec; a recursive closure over the spec would
+    form a reference cycle that keeps the spec alive until gc runs.
+    """
+
+    def __init__(self, spec, limits):
+        self.kv = spec.kernels
+        self.frozen = spec.frozen.tolist()
+        self.before = [0, *itertools.accumulate(self.frozen)]  # frozen bits before each index
+        self.limits = limits
+        self.patterns = {}
+
+    def node(self, depth, offset, span):
+        frozen, end = self.frozen, offset + span
+        kv_sub = self.kv[depth:]
+        cls = _classify(self.before[end] - self.before[offset], frozen[offset], frozen[end - 1],
+                        span, kv_sub, self.limits)
         if cls is not NodeClass.GENERIC:
-            pattern = rep_pattern(kv_sub) if cls in REP_CLASSES else None
+            pattern = self.pattern(depth) if cls in REP_CLASSES else None
             return ScheduleNode(cls, depth, offset, span, kv_sub, pattern)
-        k = kv[depth]
-        q = span // k
-        children = tuple(make(depth + 1, offset + j * q, q) for j in range(k))
+        q = span // self.kv[depth]
+        children = tuple(self.node(depth + 1, j, q) for j in range(offset, end, q))
         return ScheduleNode(cls, depth, offset, span, kv_sub, None, children)
 
-    root = make(0, 0, spec.n_bits)
-    return PrunedSchedule(root=root, kernels=kv)
+    def pattern(self, depth):
+        pattern = self.patterns.get(depth)
+        if pattern is None:
+            pattern = self.patterns[depth] = rep_pattern(self.kv[depth:])
+            pattern.flags.writeable = False
+        return pattern
 
 
 def decode_rate1(alpha, kv_sub):

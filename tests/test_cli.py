@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mkpolar
-from mkpolar import channel, cli
+from mkpolar import channel, cli, construction
 from mkpolar.construction import construct_code
 from mkpolar.encoding import encode_message
 
@@ -173,6 +173,26 @@ class TestConstruct:
         header, *rows = rel_file.read_text().strip().splitlines()
         assert header == "index,ga_mean,frozen"
         assert len(rows) == 96
+
+    @pytest.mark.parametrize(
+        "code_args",
+        [["--n", "96", "--k", "48", "--order", "last"], ["--n", "432", "--k", "216", "--order", "hr"],
+         ["--kernels", "3,2", "--k", "3"]],
+        ids=("last", "hr", "kernels"),
+    )
+    def test_one_ga_per_construct(self, tmp_path, monkeypatch, code_args):
+        # Every GA run, a ga_reliabilities call or a highest-reliability evolution,
+        # starts from one initial mean; the report lists the means the design froze by.
+        runs = []
+        initial_mean = construction._initial_mean
+        monkeypatch.setattr(construction, "_initial_mean", lambda *a: runs.append(a) or initial_mean(*a))
+        assert run_cli(["construct", *code_args, "--out", str(tmp_path)]) == 0
+        assert len(runs) == 1
+        (spec_file,) = tmp_path.glob("*.spec")
+        spec = cli.load_code_spec(spec_file)
+        _, *rows = (tmp_path / f"{spec_file.stem}_reliability.csv").read_text().splitlines()
+        z = construction.ga_reliabilities(spec.kernels, spec.rate, 3.0)
+        assert rows == [f"{i},{float(z[i]):.10g},{spec.frozen[i]}" for i in range(spec.n_bits)]
 
     def test_env_var_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MKPOLAR_OUTDIR", str(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkpolar import construction
 from mkpolar.construction import (
     CodeSpec,
     OrderingStrategy,
@@ -18,7 +19,7 @@ from mkpolar.construction import (
     phi_inv,
     select_frozen,
 )
-from mkpolar.kernels import factor_length
+from mkpolar.kernels import factor_length, is_valid_length
 
 from conftest import kernel_vectors, scalar_ga_reliabilities, scalar_phi, scalar_phi_inv
 
@@ -311,6 +312,38 @@ class TestCodeSpec:
         first = construct_code(96, 48, OrderingStrategy.FIRST)
         assert last.kernels == (2, 2, 2, 2, 2, 3)
         assert first.kernels == (3, 2, 2, 2, 2, 2)
+
+    @pytest.mark.parametrize("n", [n for n in range(2, 6913) if is_valid_length(n)])
+    def test_highest_reliability_runs_ga_once(self, monkeypatch, n):
+        # construct_code freezes by the means its ordering evolved, so it makes no
+        # ga_reliabilities call, and it designs what design_code would on the
+        # chosen kernels: over R in 1/8..7/8 x Eb/N0 in linspace(-2, 7, 7) dB.
+        calls = []
+        ga = construction.ga_reliabilities
+
+        def counted(*args):
+            calls.append(args)
+            return ga(*args)
+
+        monkeypatch.setattr(construction, "ga_reliabilities", counted)
+        n_two, n_three = factor_length(n)
+        for rate, ebn0_db in itertools.product([i / 8 for i in range(1, 8)], np.linspace(-2, 7, 7)):
+            k_bits = round(rate * n)
+            spec = construct_code(n, k_bits, OrderingStrategy.HIGHEST_RELIABILITY, ebn0_db)
+            assert calls == []
+            ordering_rate = k_bits / n if 0 < k_bits < n else 0.5
+            kv = order_kernels(n_two, n_three, OrderingStrategy.HIGHEST_RELIABILITY, ordering_rate, ebn0_db)
+            expected = design_code(kv, k_bits, ebn0_db)
+            calls.clear()
+            assert (spec.n_bits, spec.k_bits, spec.kernels, spec.design_ebn0_db) == (
+                expected.n_bits, expected.k_bits, expected.kernels, expected.design_ebn0_db)
+            assert spec.frozen.dtype == np.uint8 and np.array_equal(spec.frozen, expected.frozen)
+
+    @pytest.mark.parametrize("mask", ([2, 0, 0, 0, 0, 1], np.array([-1, 1, 1, 0, 0, 0])))
+    def test_mask_entries_must_be_binary(self, mask):
+        # -1 is cast to 255 on the way to uint8 and caught there.
+        with pytest.raises(ValueError, match="frozen mask entries must be 0 or 1"):
+            CodeSpec(6, 3, (2, 3), mask)
 
     def test_construct_code_rejects_bad_length(self):
         with pytest.raises(ValueError, match="96 and 108"):

@@ -1,16 +1,21 @@
+import gc
+import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkpolar.construction import construct_code, design_code
+from mkpolar.analysis import TABLE2_LENGTHS, TABLE2_RATES
+from mkpolar.construction import OrderingStrategy, construct_code, design_code
 from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import (
     FastSSCDecoder,
     NodeClass,
     NodeLimits,
+    REP_CLASSES,
     build_schedule,
     classify_node,
     decode_rate1,
@@ -29,6 +34,14 @@ from conftest import (
     rate1_uhat_matrix,
     rep_spec,
     spec_with_frozen,
+)
+
+# The limits the schedule tests run every code under.
+SCHEDULE_LIMITS = (
+    NodeLimits(),
+    NodeLimits(spc_max_span=0),
+    NodeLimits(rep3a_max_span=3),
+    NodeLimits(general_rep=True),
 )
 
 # P_v examples with varying kernel orders, and their node labels.
@@ -152,6 +165,38 @@ class TestBuildSchedule:
             assert leaf.offset == cursor
             cursor += leaf.span
         assert cursor == 36
+
+    def test_export_lines_of_design_codes_pinned(self):
+        # sha256 over export_lines ("\n"-joined, "\n"-ended) of the 36 design codes
+        # (N x R x ordering) under each of SCHEDULE_LIMITS, as the per-node
+        # classify_node builder produced them.
+        digest = hashlib.sha256()
+        for n, rate, ordering in itertools.product(TABLE2_LENGTHS, TABLE2_RATES, OrderingStrategy.ALL):
+            spec = construct_code(n, round(n * rate), ordering)
+            for limits in SCHEDULE_LIMITS:
+                digest.update(("\n".join(build_schedule(spec, limits).export_lines()) + "\n").encode())
+        assert digest.hexdigest() == "062c87fe4af6d99dc5856fb2d710df4b3943ea6c192986be8209acbaac637f15"
+
+    def test_spec_freed_without_the_cycle_collector(self):
+        # The schedule keeps no reference to the spec, and building it leaves no
+        # reference cycle that would keep the spec alive until gc runs.
+        spec = design_code((2, 2, 3, 3), 18)
+        alive = weakref.ref(spec)
+        gc.disable()
+        try:
+            sched = build_schedule(spec)
+            del spec
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert sched.root.span == 36
+
+    def test_rep_nodes_of_one_depth_share_a_read_only_pattern(self):
+        spec = spec_with_frozen((2, 2, 3), np.tile([1, 1, 0], 4))
+        reps = [n for n in build_schedule(spec) if n.node_class in REP_CLASSES]
+        assert len(reps) == 4 and all(n.pattern is reps[0].pattern for n in reps)
+        assert np.array_equal(reps[0].pattern, rep_pattern((3,)))
+        assert not reps[0].pattern.flags.writeable
 
     def test_export_lines_format(self):
         spec = design_code((2, 3), 3)
@@ -387,3 +432,27 @@ def test_fast_matches_sc_for_any_frozen_set(spec, seed):
     u_f, x_f = FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0)).decode_batch(llr)
     assert np.array_equal(u_f, u_sc)
     assert np.array_equal(x_f, x_sc)
+
+
+@given(arbitrary_specs(), st.sampled_from(SCHEDULE_LIMITS))
+@settings(max_examples=200, deadline=None)
+def test_schedule_classes_equal_classify_node(spec, limits):
+    kv = spec.kernels
+    for node in build_schedule(spec, limits):
+        o, s, d = node.offset, node.span, node.depth
+        assert s == int(np.prod(kv[d:])) and node.kv_sub == kv[d:]
+        if s == 1:  # classify_node takes spans of 2 or more
+            expected = NodeClass.RATE0 if spec.frozen[o] else NodeClass.RATE1
+        else:
+            expected = classify_node(spec.frozen[o : o + s], kv[d:], limits)
+        assert node.node_class is expected
+        if node.node_class is NodeClass.GENERIC:
+            assert [(c.depth, c.offset) for c in node.children] == [
+                (d + 1, o + j * s // kv[d]) for j in range(kv[d])
+            ]
+        else:
+            assert node.children == ()
+        if node.node_class in REP_CLASSES:
+            assert np.array_equal(node.pattern, rep_pattern(kv[d:]))
+        else:
+            assert node.pattern is None
