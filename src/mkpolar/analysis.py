@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 from .construction import DEFAULT_DESIGN_EBN0_DB, construct_code
 from .fast_ssc import NodeClass, build_schedule
-from .kernels import validate_kernel_vector
+from .kernels import MAX_CODE_LENGTH, nearest_valid_lengths, validate_kernel_vector
 
 TABLE2_LENGTHS = (96, 432, 768, 2304)
 TABLE2_RATES = (0.25, 0.5, 0.75)
@@ -122,18 +122,13 @@ def sweep_fixed_k(k_bits=164, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB,
     For each target rate the nearest supported length above K is used; the
     emitted R is the realized k/N.
     """
-    from .kernels import MAX_CODE_LENGTH, is_valid_length, nearest_valid_lengths
-
     if k_bits >= MAX_CODE_LENGTH:  # no code fits; for a huge K the search below never ends
         raise ValueError(f"K {k_bits} needs a code length above the maximum of {MAX_CODE_LENGTH}")
     rows = []
     for rate in rates:
         target = max(int(round(k_bits / rate)), k_bits + 1)
-        if is_valid_length(target):
-            n = target
-        else:
-            below, above = nearest_valid_lengths(target)
-            n = below if (below > k_bits and target - below <= above - target) else above
+        below, above = nearest_valid_lengths(target)  # below is target itself when supported
+        n = below if (below > k_bits and target - below <= above - target) else above
         for ordering in ("last", "first"):
             spec = construct_code(n, k_bits, ordering, ebn0_db=ebn0_db)
             rows.append(latency_row(spec, limits, ordering=ordering))

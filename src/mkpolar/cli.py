@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis
 from .channel import DECODER_KINDS, StopRule, _make_decoder, run_fer
-from .construction import CodeSpec, OrderingStrategy, _construct, _design
+from .construction import CodeSpec, OrderingStrategy, construct_code, design_code
 from .encoding import encode_message
 from .fast_ssc import NodeLimits, build_schedule
 
@@ -107,30 +107,23 @@ def _default_outdir():
 
 
 def _build_code(args):
+    """The code --spec, --kernels/--k or --n/--k describe; CodeSpec checks its K."""
     spec_path = getattr(args, "spec", None)  # construct and simulate have no --spec
     if spec_path:
         return load_code_spec(spec_path)
-    return _design_from_args(args)[0]
-
-
-def _design_from_args(args):
-    """(CodeSpec, GA means) of the code --kernels/--k or --n/--k describe; the
-    means are None for a K of 0 or N."""
     if args.kernels is not None:
         if args.k is None:
             raise CommandError("--kernels also needs --k")
-        return _design(args.kernels.split(","), args.k, args.ebn0)
+        return design_code(args.kernels.split(","), args.k, args.ebn0)
     if args.n is None or args.k is None:
         raise CommandError("either --spec, --kernels or both --n and --k are required")
-    if not 0 < args.k < args.n:
-        raise CommandError(f"need 0 < K < N, got K={args.k}, N={args.n}")
-    return _construct(args.n, args.k, ORDERINGS[args.order], args.ebn0)
+    return construct_code(args.n, args.k, ORDERINGS[args.order], args.ebn0)
 
 
 def _node_limits(args):
     return NodeLimits(
         rep3a_max_span=args.rep3a_max,
-        spc_max_span=0 if args.no_spc else None,
+        spc=not args.no_spc,
         general_rep=args.general_rep,
     )
 
@@ -184,16 +177,16 @@ def parse_snr_range(text):
 def cmd_construct(args):
     # The report lists the means the design froze by; a code without them
     # (K of 0 or N) is rejected before any file is written.
-    spec, z = _design_from_args(args)
-    if z is None:
-        raise CommandError(f"rate must be in (0, 1), got {spec.rate}")
+    spec = _build_code(args)
+    if spec.ga_means is None:
+        raise CommandError(f"rate must be in (0, 1) for a GA report, got K={spec.k_bits}, N={spec.n_bits}")
     outdir = Path(args.out) if args.out else _default_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     label = analysis.ordering_label(spec.kernels)
     stem = f"pc_N{spec.n_bits}_K{spec.k_bits}_{label}"
     save_code_spec(spec, outdir / f"{stem}.spec")
     rows = [
-        {"index": i, "ga_mean": float(z[i]), "frozen": int(spec.frozen[i])}
+        {"index": i, "ga_mean": float(spec.ga_means[i]), "frozen": int(spec.frozen[i])}
         for i in range(spec.n_bits)
     ]
     emit_report(rows, ("index", "ga_mean", "frozen"), args.fmt, outdir / f"{stem}_reliability.{args.fmt}")

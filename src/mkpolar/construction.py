@@ -18,6 +18,7 @@ ordering evolves its arrangements level by level, each kernel prefix once, with
 one call per kernel per level for all prefixes, capped at 4N means. GA runs
 once per code: a highest-reliability code freezes by the means its ordering
 evolved for the winning arrangement, which equal that arrangement's GA bit for bit.
+A designed CodeSpec keeps the means it froze by as its ga_means.
 """
 
 import itertools
@@ -212,13 +213,14 @@ def _order_kernels(n_two, n_three, strategy, rate, ebn0_db):
         score = np.sort(z)[n - k_bits :].sum()
         if score > best_score:
             best, best_score = (kv, z), score
-    return best
+    return best[0], best[1].copy()  # a slice would keep its whole run of means alive
 
 
 @dataclass(eq=False)
 class CodeSpec:
     """Complete definition of one code: length, dimension, kernels, frozen set,
-    and the Eb/N0 design_code chose it at (None if built by hand or loaded).
+    the Eb/N0 design_code chose it at and the GA means it froze by (both None if
+    built by hand or loaded; the means also None for a K of 0 or N).
 
     Every check of a code is made here, each failing with a one-line ValueError:
     the kernels, N, K and the frozen mask, and in from_frozen_indices each index.
@@ -229,6 +231,7 @@ class CodeSpec:
     kernels: tuple
     frozen: np.ndarray = field(repr=False)
     design_ebn0_db: float | None = None
+    ga_means: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_frozen_indices(cls, n_bits, k_bits, kernels, frozen_indices):
@@ -276,12 +279,12 @@ class CodeSpec:
 
 def design_code(kernels, k_bits, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     """Build a CodeSpec with the frozen set chosen by GA at the given Eb/N0."""
-    return _design(kernels, k_bits, ebn0_db)[0]
+    return _design(kernels, k_bits, ebn0_db)
 
 
 def _design(kernels, k_bits, ebn0_db, z=None):
-    """(design_code's CodeSpec, the GA means it froze by), running GA unless the
-    kernels' means z are given; the means are None for a K of 0 or N."""
+    """design_code's CodeSpec, running GA unless the kernels' means z are given;
+    its ga_means are None for a K of 0 or N."""
     kernels = validate_kernel_vector(kernels)
     n = math.prod(kernels)
     if 0 < k_bits < n:
@@ -292,17 +295,14 @@ def _design(kernels, k_bits, ebn0_db, z=None):
         # Degenerate all-frozen / all-information codes skip GA.
         z = None
         frozen = np.full(n, 1 if k_bits == 0 else 0, dtype=np.uint8)
-    return CodeSpec(n, k_bits, kernels, frozen, design_ebn0_db=ebn0_db), z
+    spec = CodeSpec(n, k_bits, kernels, frozen, design_ebn0_db=ebn0_db)
+    spec.ga_means = z
+    return spec
 
 
 def construct_code(n_bits, k_bits, ordering=OrderingStrategy.LAST, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     """Factor n_bits, order the kernels, and design the frozen set; a
     highest-reliability code reuses its ordering's GA means (see module docstring)."""
-    return _construct(n_bits, k_bits, ordering, ebn0_db)[0]
-
-
-def _construct(n_bits, k_bits, ordering, ebn0_db):
-    """(construct_code's CodeSpec, the GA means it froze by, None for a K of 0 or N)."""
     n_two, n_three = factor_length(n_bits)
     rate = k_bits / n_bits if 0 < k_bits < n_bits else 0.5
     kv, z = _order_kernels(n_two, n_three, ordering, rate, ebn0_db)

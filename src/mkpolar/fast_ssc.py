@@ -56,14 +56,14 @@ class NodeLimits:
     rep3a_max_span caps all-ternary REP nodes so their patterns can be
     tabulated (3, 9 or 27). REP3B/C are only recognized with exactly one
     ternary stage, the paper's constraint for a fixed-index implementation.
-    spc_max_span bounds SPC nodes (0 disables them, None leaves them
-    uncapped). general_rep lifts the REP constraints entirely (the paper's
-    generalization). Every REP node decodes by its pattern sum, so these
-    limits change which nodes are recognized, not how they decode.
+    spc turns SPC nodes on (the default) or off. general_rep lifts the REP
+    constraints entirely (the paper's generalization). Every REP node decodes
+    by its pattern sum, so these limits change which nodes are recognized,
+    not how they decode.
     """
 
     rep3a_max_span: int = 27
-    spc_max_span: int | None = None
+    spc: bool = True
     general_rep: bool = False
 
     def __post_init__(self):
@@ -107,10 +107,8 @@ def _classify(n_frozen, first_frozen, last_frozen, span, kv_sub, limits):
         if n3 == 1 and kv_sub[-1] == 3:
             return NodeClass.REP3C
         return NodeClass.GENERIC
-    if n_frozen == 1 and first_frozen:
-        if limits.spc_max_span is None or span <= limits.spc_max_span:
-            return NodeClass.SPC
-        return NodeClass.GENERIC
+    if n_frozen == 1 and first_frozen and limits.spc:
+        return NodeClass.SPC
     return NodeClass.GENERIC
 
 

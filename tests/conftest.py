@@ -17,7 +17,7 @@ DECODERS = {
     "sc": SCDecoder,
     "fastssc": FastSSCDecoder,
     "fastssc-nospc-general": lambda spec: FastSSCDecoder(
-        spec, limits=NodeLimits(spc_max_span=0, general_rep=True)
+        spec, limits=NodeLimits(spc=False, general_rep=True)
     ),
 }
 

@@ -159,7 +159,7 @@ def test_criterion_04_fast_ssc_equals_sc_without_spc():
         spec = design_code(kv, k, ebn0_db=3.0)
         _, _, llr = _noisy_frames(spec, 10_000, seed=hash(kv) % 2**32, ebn0_db=2.0)
         u_sc, x_sc = SCDecoder(spec).decode_batch(llr)
-        u_f, x_f = FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0)).decode_batch(llr)
+        u_f, x_f = FastSSCDecoder(spec, limits=NodeLimits(spc=False)).decode_batch(llr)
         mismatches += int((u_f != u_sc).sum()) + int((x_f != x_sc).sum())
     _report(4, "fast-ssc-equals-sc", mismatches == 0, f"{mismatches} mismatched bits")
 

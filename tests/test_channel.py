@@ -105,7 +105,7 @@ class TestRunFer:
             snrs=(2.0,),
             stop=stop,
             seed=11,
-            limits=NodeLimits(spc_max_span=0),
+            limits=NodeLimits(spc=False),
         )
         assert a.points[0].frame_errors == b.points[0].frame_errors
         assert a.points[0].bit_errors == b.points[0].bit_errors

@@ -89,6 +89,7 @@ class TestSpecFiles:
         assert loaded.k_bits == 48
         assert loaded.kernels == spec.kernels
         assert np.array_equal(loaded.frozen, spec.frozen)
+        assert spec.ga_means is not None and loaded.ga_means is None  # a spec file holds no means
 
     @given(arbitrary_specs())
     @settings(max_examples=60, deadline=None)
@@ -158,9 +159,11 @@ class TestConstruct:
     @pytest.mark.parametrize("k", ["0", "6"])
     def test_failure_writes_nothing(self, tmp_path, capsys, k):
         outdir = tmp_path / "D"
-        assert run_cli(["construct", "--kernels", "2,3", "--k", k, "--out", str(outdir)]) == 2
-        assert "rate must be in (0, 1)" in capsys.readouterr().err
-        assert not outdir.exists()
+        for code in (["--kernels", "2,3"], ["--n", "6"]):
+            assert run_cli(["construct", *code, "--k", k, "--out", str(outdir)]) == 2
+            err = capsys.readouterr().err
+            assert "rate must be in (0, 1)" in err and f"K={k}" in err and err.count("\n") == 1
+            assert not outdir.exists()
 
     def test_writes_spec_and_reliability(self, tmp_path):
         assert run_cli(["construct", "--n", "96", "--k", "48", "--order", "last",
@@ -314,6 +317,12 @@ class TestEncodeDecode:
         out = capsys.readouterr().out.strip()
         expected = "".join(str(b) for b in encode_message(np.array([1, 1, 0]), spec))
         assert out == expected
+
+    @pytest.mark.parametrize("code", [["--kernels", "2,3"], ["--n", "6"]], ids=("kernels", "n"))
+    def test_all_information_code_encodes(self, capsys, code):
+        # A K of N is a valid code however it is described; only construct needs 0 < K < N.
+        assert run_cli(["encode", *code, "--k", "6", "--message", "101010"]) == 0
+        assert capsys.readouterr().out == "001101\n"
 
     def test_bad_message_rejected(self, tmp_path, capsys):
         spec = construct_code(6, 3)

@@ -271,6 +271,20 @@ class TestCodeSpec:
         assert design_code((2, 3), 0).frozen.sum() == 6
         assert design_code((2, 3), 6).frozen.sum() == 0
 
+    @pytest.mark.parametrize("kv", [(2, 3), (2, 2, 2, 2, 2, 3), (3, 3, 2, 2)])
+    def test_ga_means_are_the_means_design_froze_by(self, kv):
+        n = int(np.prod(kv))
+        for k_bits in (1, n // 2, n - 1):
+            spec = design_code(kv, k_bits, 1.5)
+            z = ga_reliabilities(kv, k_bits / n, 1.5)
+            assert spec.ga_means.dtype == z.dtype and spec.ga_means.tobytes() == z.tobytes()
+            assert np.array_equal(spec.frozen, select_frozen(z, k_bits))
+        # A code of K 0 or N runs no GA; a hand-built code has no design to record.
+        assert design_code(kv, 0).ga_means is None and design_code(kv, n).ga_means is None
+        assert CodeSpec.from_frozen_indices(n, n - 1, kv, [0]).ga_means is None
+        with pytest.raises(TypeError):
+            CodeSpec(n, n - 1, kv, spec.frozen, ga_means=z)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CodeSpec(n_bits=5, k_bits=2, kernels=(2, 3), frozen=np.zeros(5, dtype=np.uint8))
@@ -338,6 +352,7 @@ class TestCodeSpec:
             assert (spec.n_bits, spec.k_bits, spec.kernels, spec.design_ebn0_db) == (
                 expected.n_bits, expected.k_bits, expected.kernels, expected.design_ebn0_db)
             assert spec.frozen.dtype == np.uint8 and np.array_equal(spec.frozen, expected.frozen)
+            assert (spec.ga_means is expected.ga_means is None) or np.array_equal(spec.ga_means, expected.ga_means)
 
     @pytest.mark.parametrize("mask", ([2, 0, 0, 0, 0, 1], np.array([-1, 1, 1, 0, 0, 0])))
     def test_mask_entries_must_be_binary(self, mask):

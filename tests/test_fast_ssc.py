@@ -39,7 +39,7 @@ from conftest import (
 # The limits the schedule tests run every code under.
 SCHEDULE_LIMITS = (
     NodeLimits(),
-    NodeLimits(spc_max_span=0),
+    NodeLimits(spc=False),
     NodeLimits(rep3a_max_span=3),
     NodeLimits(general_rep=True),
 )
@@ -119,7 +119,7 @@ class TestClassifyNode:
 
     def test_spc_disabled(self):
         mask = np.array([1, 0, 0, 0], dtype=np.uint8)
-        assert classify_node(mask, (2, 2), NodeLimits(spc_max_span=0)) is NodeClass.GENERIC
+        assert classify_node(mask, (2, 2), NodeLimits(spc=False)) is NodeClass.GENERIC
 
     def test_interior_ternary_stays_generic(self):
         assert classify_node(_rep_mask(12), (2, 3, 2)) is NodeClass.GENERIC
@@ -320,7 +320,7 @@ class TestFastDecoder:
         spec = design_code(kv, k)
         _, llr = _random_noisy_frames(spec, 2000, rng)
         u_sc, x_sc = SCDecoder(spec).decode_batch(llr)
-        fast = FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0))
+        fast = FastSSCDecoder(spec, limits=NodeLimits(spc=False))
         u_f, x_f = fast.decode_batch(llr)
         assert np.array_equal(u_f, u_sc)
         assert np.array_equal(x_f, x_sc)
@@ -335,7 +335,7 @@ class TestFastDecoder:
         rounded = np.rint(noisy)
         assert (rounded == 0).any()
         decoders = (SCDecoder(spec), FastSSCDecoder(spec),
-                    FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0)))
+                    FastSSCDecoder(spec, limits=NodeLimits(spc=False)))
         for llr in (np.zeros((1, n)), rounded):
             for decoder in decoders:
                 u_hat, x_hat = decoder.decode_batch(llr)
@@ -354,8 +354,8 @@ class TestFastDecoder:
     def test_general_rep_matches_default_where_both_apply(self, rng):
         spec = design_code((2, 2, 2, 3), 12)
         _, llr = _random_noisy_frames(spec, 500, rng)
-        general = FastSSCDecoder(spec, limits=NodeLimits(general_rep=True, spc_max_span=0))
-        default = FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0))
+        general = FastSSCDecoder(spec, limits=NodeLimits(general_rep=True, spc=False))
+        default = FastSSCDecoder(spec, limits=NodeLimits(spc=False))
         ug, _ = general.decode_batch(llr)
         ud, _ = default.decode_batch(llr)
         assert np.array_equal(ug, ud)
@@ -406,7 +406,7 @@ class TestFastDecoder:
         assert spans[0] == 1
         _, llr = _random_noisy_frames(spec, 300, rng)
         u_sc, _ = SCDecoder(spec).decode_batch(llr)
-        u_f, _ = FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0)).decode_batch(llr)
+        u_f, _ = FastSSCDecoder(spec, limits=NodeLimits(spc=False)).decode_batch(llr)
         assert np.array_equal(u_f, u_sc)
 
 
@@ -429,7 +429,7 @@ def test_fast_matches_sc_for_any_frozen_set(spec, seed):
     llr = rng.normal(0, 2, (8, spec.n_bits))
     llr[llr == 0] = 0.5
     u_sc, x_sc = SCDecoder(spec).decode_batch(llr)
-    u_f, x_f = FastSSCDecoder(spec, limits=NodeLimits(spc_max_span=0)).decode_batch(llr)
+    u_f, x_f = FastSSCDecoder(spec, limits=NodeLimits(spc=False)).decode_batch(llr)
     assert np.array_equal(u_f, u_sc)
     assert np.array_equal(x_f, x_sc)
 
