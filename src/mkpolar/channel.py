@@ -7,6 +7,8 @@ draws the block's messages, then its noise, and run_fer applies chunk tallies
 in frame order. Results are therefore identical no matter how frames are
 batched or spread across workers. From the draw to the error tally, a chunk's
 arrays are Fortran-ordered (frames, N), so no step makes a transposing copy.
+The draws and the channel LLRs are float64; the LLRs are saturated to
+float32's range and rounded once, and the decoders decode them in float32.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +20,7 @@ import numpy as np
 from .construction import design_code, ebn0_db_to_linear
 from .encoding import expand_message
 from .fast_ssc import FastSSCDecoder
-from .kernels import stage_transform
+from .kernels import MAX_CODE_LENGTH, stage_transform
 from .sc import SCDecoder
 
 DECODER_KINDS = ("sc", "fastssc")
@@ -29,6 +31,13 @@ BLOCK_FRAMES = 64
 
 # Each worker is a thread holding its chunk's arrays (tens of MB at N=2304).
 MAX_WORKERS = 64
+
+# LLRs per chunk: the default batch of 1024 frames at MAX_CODE_LENGTH. A chunk
+# holds a few float64 arrays of batch_size x N entries, 512 MiB each at this cap.
+MAX_BATCH_LLRS = 1024 * MAX_CODE_LENGTH
+
+# Channel LLRs are saturated to this before they are rounded to float32.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,10 @@ def noise_variance(ebn0_db, rate):
 
 
 def awgn_llr(symbols, sigma2, noise):
-    """Channel LLRs 2y / sigma^2 of y = symbols + sigma * noise, noise ~ N(0, 1)."""
+    """Channel LLRs 2y / sigma^2 of y = symbols + sigma * noise, noise ~ N(0, 1).
+
+    run_fer computes them in float64 and decodes them rounded to float32.
+    """
     return 2.0 * (symbols + np.sqrt(sigma2) * noise) / sigma2
 
 
@@ -115,7 +127,13 @@ def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
         noise[rows] = rng.standard_normal((BLOCK_FRAMES, n))[taken]
     u = expand_message(msgs, spec)
     x = stage_transform(u, spec.kernels)
-    u_hat, _ = decoder.decode_batch(awgn_llr(modulate(x), sigma2, noise))
+    # Saturate, then round once: a huge LLR must not overflow the float32 cast.
+    llrs = np.clip(awgn_llr(modulate(x), sigma2, noise), -_FLOAT32_MAX, _FLOAT32_MAX,
+                   out=np.empty((count, n), dtype=np.float32, order="F"))
+    # No float64 array outlives the draw: freeing the noise before the walk
+    # cuts the chunk's peak memory and the pages the next chunk faults in.
+    del noise
+    u_hat, _ = decoder.decode_batch(llrs)
     bad = u_hat != u
     frame_errors = int(bad.any(axis=1).sum())
     bit_errors = int(bad[:, spec.info_indices].sum())
@@ -141,17 +159,20 @@ def run_fer(
     set of `spec` throughout.
     Random messages are used rather than the all-zero codeword, drawn with
     their noise from an RNG keyed on (seed, SNR point index, 64-frame block
-    index). Results are reproducible for a given (seed, spec, snrs, stop),
+    index). The LLRs are computed in float64 and decoded in float32.
+    Results are reproducible for a given (seed, spec, snrs, stop),
     independent of workers and batch_size. Raises ValueError for a degenerate
-    code, workers outside 1..MAX_WORKERS, batch_size below 1, or an Eb/N0 out
-    of range.
+    code, workers outside 1..MAX_WORKERS, batch_size outside
+    1..MAX_BATCH_LLRS // N, or an Eb/N0 out of range.
     """
     if not 0 < spec.k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be at least 1 and at most {MAX_WORKERS}, got {workers}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    max_batch = MAX_BATCH_LLRS // spec.n_bits
+    if not 1 <= batch_size <= max_batch:
+        raise ValueError(f"batch_size must be at least 1 and at most {max_batch} "
+                         f"at N={spec.n_bits}, got {batch_size}")
     channels = [(ebn0_db, noise_variance(ebn0_db, spec.rate)) for ebn0_db in snrs]
     stats = SimStats(n_bits=spec.n_bits, k_bits=spec.k_bits, decoder=decoder, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:

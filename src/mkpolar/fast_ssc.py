@@ -20,7 +20,8 @@ its codeword and sourceword bits into the slices the walk hands it. Rate-1
 and SPC leaves recover their sourceword bits by the inverse stage transform.
 They decide a tied (zero) LLR on the codeword bit, where SC decides the
 sourceword bit, so without SPC the decoder is bit-exact to SC for tie-free
-LLRs only; on ties both return valid codewords.
+LLRs only; on ties both return valid codewords. The leaf decoders, like the
+LLR steps, compute in float32 for float32 LLRs and in float64 otherwise.
 """
 
 import itertools
@@ -32,7 +33,7 @@ import numpy as np
 
 from .kernels import KERNELS, stage_transform, validate_kernel_vector
 # The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
-from .sc import _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
+from .sc import _llr_dtype, _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
 
 class NodeClass(str, Enum):
@@ -213,7 +214,7 @@ class _ScheduleBuilder:
 
 def decode_rate1(alpha, kv_sub):
     """Rate-1: beta = hard decisions, sourceword recovered by the inverse stage transform."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
     beta = (alpha <= 0).astype(np.uint8)
     return beta, stage_transform(beta, kv_sub, inverse=True)
 
@@ -221,7 +222,7 @@ def decode_rate1(alpha, kv_sub):
 def decode_spc(alpha, kv_sub):
     """Single parity check: hard decisions, then flip the least reliable bit
     if the overall parity is odd. Maximum likelihood for this subcode."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
     span = alpha.shape[-1]
     flat = alpha.reshape(-1, span)
     beta = (flat <= 0).astype(np.uint8)
@@ -238,9 +239,10 @@ def decode_rep(alpha, pattern):
     The repeated bit is the node's last sourceword bit; beta is that bit
     times the pattern.
     """
-    alpha = np.array(alpha, dtype=float, order="C")  # one BLAS sum order for any layout
+    # one BLAS sum order for any layout, in the LLRs' float type
+    alpha = np.array(alpha, dtype=_llr_dtype(alpha), order="C")
     pattern = np.asarray(pattern, dtype=np.uint8)
-    bit = (np.asarray(alpha @ pattern.astype(float)) <= 0).astype(np.uint8)
+    bit = (np.asarray(alpha @ pattern.astype(alpha.dtype)) <= 0).astype(np.uint8)
     beta = bit[..., np.newaxis] * pattern
     u_hat = np.zeros(alpha.shape, dtype=np.uint8)
     u_hat[..., -1] = bit

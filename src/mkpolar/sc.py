@@ -10,6 +10,8 @@ exactly zero decides 1 on an unfrozen bit. Fast-SSC without SPC is bit-exact
 to SC for tie-free LLRs only (see fast_ssc.py). The box-plus max(min(a, b),
 -max(a, b)) is exact, so every LLR has the value of its textbook formula; only
 the sign of an exact zero may differ, and no decision (<= 0, |.|, a sum) sees it.
+Every step keeps its LLRs' float type: float32 LLRs stay float32 (the +-1
+factors are built in float32), and anything else computes in float64.
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
@@ -35,9 +37,17 @@ def f_op(l0, l1):
     return np.maximum(np.minimum(l0, l1), np.negative(np.maximum(l0, l1)))
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _llr_dtype(llr):
+    """The float type LLR arithmetic keeps: float32 for float32 LLRs, else float64."""
+    return _FLOAT32 if getattr(llr, "dtype", None) is _FLOAT32 else np.float64
+
+
 def g_op(l0, l1, u0):
     """(-1)^u0 * l0 + l1, with u0 the left partial sum."""
-    return (1.0 - 2.0 * np.asarray(u0, dtype=float)) * l0 + l1
+    return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + l1
 
 
 def lambda0(l0, l1, l2):
@@ -47,7 +57,7 @@ def lambda0(l0, l1, l2):
 
 def lambda1(l0, l1, l2, u0):
     """(-1)^u0 * l0 + (l1 box-plus l2), for the center branch."""
-    return (1.0 - 2.0 * np.asarray(u0, dtype=float)) * l0 + f_op(l1, l2)
+    return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + f_op(l1, l2)
 
 
 def lambda2(l1, l2, u0, u1):
@@ -56,10 +66,9 @@ def lambda2(l1, l2, u0, u1):
     u0 and u1 are the left and center partial sums.
     """
     u0 = np.asarray(u0, dtype=np.uint8)
-    u1 = np.asarray(u1, dtype=np.uint8)
-    s0 = 1.0 - 2.0 * u0
-    s1 = 1.0 - 2.0 * (u0 ^ u1)
-    return s0 * l1 + s1 * l2
+    flip = u0 ^ np.asarray(u1, dtype=np.uint8)
+    dtype = _llr_dtype(l1)
+    return (1.0 - 2.0 * u0.astype(dtype)) * l1 + (1.0 - 2.0 * flip.astype(dtype)) * l2
 
 
 class _TreeDecoder:
@@ -78,8 +87,11 @@ class _TreeDecoder:
         self._leaves = {}
 
     def decode(self, llr):
-        """Decode one frame; returns (u_hat, x_hat) with x_hat the root partial sums."""
-        llr = np.asarray(llr, dtype=float)
+        """Decode one frame; returns (u_hat, x_hat) with x_hat the root partial sums.
+
+        Computes in float32 for float32 LLRs and in float64 otherwise, as decode_batch.
+        """
+        llr = np.asarray(llr, dtype=_llr_dtype(llr))
         if llr.shape != (self.spec.n_bits,):
             raise ValueError(f"expected {self.spec.n_bits} LLRs, got shape {llr.shape}")
         u, x = self.decode_batch(llr[np.newaxis, :])
@@ -88,21 +100,23 @@ class _TreeDecoder:
     def decode_batch(self, llrs):
         """Decode a (batch, N) array of frames; NaN LLRs are rejected.
 
-        LLRs are saturated to +-max_float / (2N), so +-inf and huge values
-        decide like large finite ones and no sum in the tree can overflow.
+        The walk computes in the precision of the LLRs: float32 for a float32
+        array, float64 for anything else. LLRs are saturated to that type's
+        +-max / (2N), so +-inf and huge values decide like large finite ones
+        and no sum in the tree can overflow.
         Returns (u_hat, x_hat) in the memory order of the input: views of the
         walk's frames-last arrays for an F-contiguous input, else C-ordered copies.
         """
         n = self.spec.n_bits
-        llrs = np.asarray(llrs, dtype=float)
+        llrs = np.asarray(llrs, dtype=_llr_dtype(llrs))
         if llrs.ndim != 2 or llrs.shape[1] != n:
             raise ValueError(f"expected (batch, {n}) LLRs, got {llrs.shape}")
         # min() propagates NaN and, unlike isnan(), allocates no batch-sized mask
         if llrs.size and np.isnan(llrs.min()):
             frame, index = np.argwhere(np.isnan(llrs))[0]
             raise ValueError(f"LLR {index} of frame {frame} is NaN")
-        bound = np.finfo(float).max / (2 * n)
-        alpha = np.clip(llrs.T, -bound, bound, out=np.empty(llrs.shape[::-1]))
+        bound = np.finfo(llrs.dtype).max / (2 * n)
+        alpha = np.clip(llrs.T, -bound, bound, out=np.empty(llrs.shape[::-1], dtype=llrs.dtype))
         u, x = np.empty((2, *alpha.shape), dtype=np.uint8)
         self._decode_node(alpha, x, u, 0, 0)
         return (u.T, x.T) if llrs.flags.f_contiguous else (u.T.copy(), x.T.copy())

@@ -88,7 +88,8 @@ def rate1_uhat_matrix(beta, kv_sub):
 
 def frames_first_chunk(decoder, start, count, spec, sigma2, seed, point_index):
     """(frame_errors, bit_errors) of frames start..start+count-1 with every array
-    C-ordered (frames, N): the frames-first formulation of channel._simulate_chunk."""
+    C-ordered (frames, N): the frames-first formulation of channel._simulate_chunk,
+    which decodes its float64 channel LLRs saturated and rounded to float32."""
     n, k = spec.n_bits, spec.k_bits
     msgs = np.empty((count, k), dtype=np.uint8)
     noise = np.empty((count, n))
@@ -102,8 +103,10 @@ def frames_first_chunk(decoder, start, count, spec, sigma2, seed, point_index):
         noise[rows] = rng.standard_normal((BLOCK_FRAMES, n))[taken]
     u = expand_message(msgs, spec)
     x = stage_transform(u, spec.kernels)
-    u_hat, _ = decoder.decode_batch(awgn_llr(modulate(x), sigma2, noise))
-    assert u.flags.c_contiguous and u_hat.flags.c_contiguous
+    bound = np.finfo(np.float32).max
+    llrs = np.clip(awgn_llr(modulate(x), sigma2, noise), -bound, bound).astype(np.float32)
+    u_hat, _ = decoder.decode_batch(llrs)
+    assert llrs.flags.c_contiguous and u.flags.c_contiguous and u_hat.flags.c_contiguous
     bad = u_hat != u
     return int(bad.any(axis=1).sum()), int(bad[:, spec.info_indices].sum())
 

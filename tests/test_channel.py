@@ -6,6 +6,7 @@ import pytest
 from mkpolar import channel, fast_ssc
 from mkpolar.channel import StopRule, awgn_llr, modulate, noise_variance, run_fer
 from mkpolar.construction import CodeSpec, construct_code, design_code
+from mkpolar.kernels import MAX_CODE_LENGTH
 
 from conftest import frames_first_chunk
 
@@ -203,6 +204,18 @@ class TestRunFer:
         assert channel._simulate_chunk(decoder, *args) == expected
         assert expected[0] > 0 or count == 1
 
+    def test_chunk_decodes_frames_last_float32(self, spec96, monkeypatch):
+        decoder = channel._make_decoder("fastssc", spec96, None)
+        decode, seen = decoder.decode_batch, []
+
+        def logged(llrs):
+            seen.append((llrs.dtype, llrs.flags.f_contiguous))
+            return decode(llrs)
+
+        monkeypatch.setattr(decoder, "decode_batch", logged)
+        channel._simulate_chunk(decoder, 5, 100, spec96, noise_variance(2.0, spec96.rate), 0, 0)
+        assert seen == [(np.float32, True)]
+
     def test_seed_changes_results(self, spec96):
         stop = StopRule(max_frames=1024, min_frame_errors=10_000)
         a = run_fer(spec96, snrs=(2.0,), stop=stop, seed=0)
@@ -241,6 +254,41 @@ class TestRunFer:
         spec = design_code((2, 3), 0)
         with pytest.raises(ValueError):
             run_fer(spec, snrs=(3.0,))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_llrs_saturate_before_the_float32_cast(self, spec96):
+        # At 400 dB the channel LLRs are ~2e40, beyond float32's range: a bare
+        # cast would warn "overflow encountered in cast". The tallies are those
+        # of the float64 decoders.
+        stop = StopRule(max_frames=300, min_frame_errors=1000)
+        for kind in channel.DECODER_KINDS:
+            rows = run_fer(spec96, decoder=kind, snrs=(2.0, 400.0), stop=stop, seed=6).rows()
+            assert [(r["frames"], r["frame_errors"], r["bit_errors"]) for r in rows] == [
+                (300, 52, 661),
+                (300, 0, 0),
+            ]
+
+    def test_batch_size_cap_is_checked_before_any_work(self, monkeypatch):
+        # 10**6 frames at N=2304 would ask for 17 GiB per chunk array.
+        spec = construct_code(2304, 1152, ebn0_db=2.0)
+        max_batch = channel.MAX_BATCH_LLRS // 2304
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_fer started work")
+
+        for name in ("ThreadPoolExecutor", "design_code", "_simulate_chunk", "noise_variance"):
+            monkeypatch.setattr(channel, name, no_work)
+        for batch_size in (max_batch + 1, 10**6):
+            with pytest.raises(ValueError, match=f"at most {max_batch} at N=2304, got {batch_size}"):
+                run_fer(spec, snrs=(2.0,), batch_size=batch_size)
+
+    def test_batch_size_cap_is_inclusive_and_admits_the_default_at_max_length(self):
+        assert channel.MAX_BATCH_LLRS // MAX_CODE_LENGTH == 1024
+        # The chunk holds only the frames the stop rule asks for.
+        spec = design_code((2, 3), 3)
+        max_batch = channel.MAX_BATCH_LLRS // spec.n_bits
+        stats = run_fer(spec, snrs=(3.0,), stop=StopRule(max_frames=64), batch_size=max_batch)
+        assert stats.points[0].frames == 64
 
     @pytest.mark.parametrize("kw", [dict(workers=0), dict(batch_size=0), dict(batch_size=-1)])
     def test_rejects_workers_or_batch_size_below_one(self, spec96, kw):
