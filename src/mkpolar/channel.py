@@ -11,6 +11,7 @@ The draws and the channel LLRs are float64; the LLRs are saturated to
 float32's range and rounded once, and the decoders decode them in float32.
 """
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -40,6 +41,14 @@ MAX_BATCH_LLRS = 1024 * MAX_CODE_LENGTH
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
+def _check_count(name, value, high=None, where=""):
+    """Raise ValueError unless value is an integer (not a bool) from 1 to high."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1
+            or high is not None and value > high):
+        bound = "at least 1" if high is None else f"at least 1 and at most {high}{where}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Stop a point once min_frame_errors are collected or max_frames simulated."""
@@ -48,8 +57,8 @@ class StopRule:
     min_frame_errors: int = 100
 
     def __post_init__(self):
-        if min(self.max_frames, self.min_frame_errors) < 1:
-            raise ValueError(f"max_frames and min_frame_errors must be at least 1, got {self}")
+        _check_count("max_frames", self.max_frames)
+        _check_count("min_frame_errors", self.min_frame_errors)
 
     def reached(self, point):
         return point.frames >= self.max_frames or point.frame_errors >= self.min_frame_errors
@@ -103,12 +112,8 @@ def awgn_llr(symbols, sigma2, noise):
 
 
 def _make_decoder(kind, spec, limits):
-    """The decoder of one code; limits apply to Fast-SSC only."""
-    if kind == "sc":
-        return SCDecoder(spec)
-    if kind == "fastssc":
-        return FastSSCDecoder(spec, limits=limits)
-    raise ValueError(f"unknown decoder kind {kind!r}; expected one of {DECODER_KINDS}")
+    """The decoder of one code, kind one of DECODER_KINDS; limits apply to Fast-SSC only."""
+    return SCDecoder(spec) if kind == "sc" else FastSSCDecoder(spec, limits=limits)
 
 
 def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
@@ -162,17 +167,16 @@ def run_fer(
     index). The LLRs are computed in float64 and decoded in float32.
     Results are reproducible for a given (seed, spec, snrs, stop),
     independent of workers and batch_size. Raises ValueError for a degenerate
-    code, workers outside 1..MAX_WORKERS, batch_size outside
-    1..MAX_BATCH_LLRS // N, or an Eb/N0 out of range.
+    code, a decoder not in DECODER_KINDS, workers other than an integer in
+    1..MAX_WORKERS, batch_size other than an integer in 1..MAX_BATCH_LLRS // N,
+    or an Eb/N0 out of range.
     """
     if not 0 < spec.k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be at least 1 and at most {MAX_WORKERS}, got {workers}")
-    max_batch = MAX_BATCH_LLRS // spec.n_bits
-    if not 1 <= batch_size <= max_batch:
-        raise ValueError(f"batch_size must be at least 1 and at most {max_batch} "
-                         f"at N={spec.n_bits}, got {batch_size}")
+    if decoder not in DECODER_KINDS:
+        raise ValueError(f"unknown decoder kind {decoder!r}; expected one of {DECODER_KINDS}")
+    _check_count("workers", workers, MAX_WORKERS)
+    _check_count("batch_size", batch_size, MAX_BATCH_LLRS // spec.n_bits, f" at N={spec.n_bits}")
     channels = [(ebn0_db, noise_variance(ebn0_db, spec.rate)) for ebn0_db in snrs]
     stats = SimStats(n_bits=spec.n_bits, k_bits=spec.k_bits, decoder=decoder, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:

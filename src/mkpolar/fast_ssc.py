@@ -17,7 +17,10 @@ differ only in which nodes are recognized (and counted in Table 2).
 FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
 schedule's multi-bit leaves replace the subtrees they prune, each writing
 its codeword and sourceword bits into the slices the walk hands it. Rate-1
-and SPC leaves recover their sourceword bits by the inverse stage transform.
+and SPC leaves take their hard decisions as a uint8 view of the comparison
+and recover their sourceword bits by one inverse stage transform each, whose
+plan kernels.stage_transform builds once per sub-kernel vector and caches,
+so a single-frame leaf costs a few numpy calls and no validation.
 They decide a tied (zero) LLR on the codeword bit, where SC decides the
 sourceword bit, so without SPC the decoder is bit-exact to SC for tie-free
 LLRs only; on ties both return valid codewords. The leaf decoders, like the
@@ -215,7 +218,7 @@ class _ScheduleBuilder:
 def decode_rate1(alpha, kv_sub):
     """Rate-1: beta = hard decisions, sourceword recovered by the inverse stage transform."""
     alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
-    beta = (alpha <= 0).astype(np.uint8)
+    beta = (alpha <= 0.0).view(np.uint8)
     return beta, stage_transform(beta, kv_sub, inverse=True)
 
 
@@ -225,10 +228,13 @@ def decode_spc(alpha, kv_sub):
     alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
     span = alpha.shape[-1]
     flat = alpha.reshape(-1, span)
-    beta = (flat <= 0).astype(np.uint8)
-    parity = np.bitwise_xor.reduce(beta, axis=-1)
-    least = np.argmin(np.abs(flat), axis=-1)
-    beta[np.arange(len(beta)), least] ^= parity
+    beta = (flat <= 0.0).view(np.uint8)
+    if len(beta) == 1:
+        if np.count_nonzero(beta) & 1:
+            beta[0, np.abs(flat).argmin()] ^= 1
+    else:
+        parity = np.bitwise_xor.reduce(beta, axis=-1)
+        beta[np.arange(len(beta)), np.abs(flat).argmin(axis=-1)] ^= parity
     beta = beta.reshape(alpha.shape)
     return beta, stage_transform(beta, kv_sub, inverse=True)
 
@@ -267,11 +273,11 @@ class FastSSCDecoder(_TreeDecoder):
         """Decode a multi-bit leaf with LLRs alpha into its slices beta and u."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
-            beta[:] = 0
-            u[:] = 0
+            beta[...] = 0
+            u[...] = 0
         elif cls is NodeClass.RATE1:
-            beta[:], u[:] = decode_rate1(alpha, node.kv_sub)
+            beta[...], u[...] = decode_rate1(alpha, node.kv_sub)
         elif cls is NodeClass.SPC:
-            beta[:], u[:] = decode_spc(alpha, node.kv_sub)
+            beta[...], u[...] = decode_spc(alpha, node.kv_sub)
         else:
-            beta[:], u[:] = decode_rep(alpha, node.pattern)
+            beta[...], u[...] = decode_rep(alpha, node.pattern)

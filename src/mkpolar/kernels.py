@@ -5,13 +5,16 @@ Kronecker product of 2x2 and 3x3 polarizing kernels, described by a kernel
 vector such as (2, 2, 3). All matrices are dense uint8 arrays with entries
 in {0, 1}; arithmetic is mod 2.
 
-The encoder, the decode tree's partial sums and the leaf inverses all run
-the kernels as in-place row XORs (KERNEL_STEPS, apply_kernel); the matrices
-are the oracle the steps are tested against.
+The encoder, the decode tree's partial sums (apply_kernel) and the leaf
+inverses all run the kernels as in-place row XORs (KERNEL_STEPS); the
+matrices are the oracle the steps are tested against. stage_transform keeps
+one immutable plan per kernel vector and direction, so a call validates
+nothing it has seen before.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,12 +113,50 @@ def inverse_generator(kv):
     return reduce(kron, (KERNEL_INVERSES[k] for k in kv))
 
 
-def apply_kernel(v, k, inverse=False):
-    """Multiply axis -2 of v (length k) by T_k, or T_k^-1, in place over GF(2)."""
-    steps = KERNEL_STEPS[k]
-    for a, b in reversed(steps) if inverse else steps:
+def apply_kernel(v, k):
+    """Multiply axis -2 of v (length k) by T_k in place over GF(2)."""
+    for a, b in KERNEL_STEPS[k]:
         row = v[..., a, :]
         row ^= v[..., b, :]
+
+
+class _StagePlan(NamedTuple):
+    """What stage_transform runs for one kernel vector in one direction.
+
+    `batch` (frames-last input of any width) and `single` (one frame) hold,
+    per kernel in kv order, (shape, steps): the stage is ``v[a] ^= v[b]`` for
+    each step (a, b) on ``v = x.reshape(shape)``, the view whose axis of
+    length k holds the kernel's rows in every block. Steps are T_k's row XORs,
+    reversed for the inverse.
+    """
+
+    n: int
+    batch: tuple
+    single: tuple
+
+
+def _stage_views(kv, inverse, single):
+    n = prod(kv)
+    stages = []
+    for depth, k in enumerate(kv):
+        blocks = prod(kv[:depth])
+        rest = n // (blocks * k)
+        # Axes of length 1 are dropped: numpy XORs a 1-D view, or a scalar
+        # of a one-frame, one-block stage, several times faster than a 2-D
+        # view with an axis of length 1.
+        shape = (blocks,) * (blocks > 1) + (k,) + (((rest,) * (rest > 1)) if single else (-1,))
+        lead = (slice(None),) * (blocks > 1)
+        steps = KERNEL_STEPS[k][::-1] if inverse else KERNEL_STEPS[k]
+        stages.append((shape, tuple((lead + (a,), lead + (b,)) for a, b in steps)))
+    return tuple(stages)
+
+
+# Distinct kernel vectors are few (a code's suffixes); the bound only caps a
+# process that transforms many codes.
+@lru_cache(maxsize=1024)
+def _stage_plan(kv, inverse):
+    kv = validate_kernel_vector(kv)
+    return _StagePlan(prod(kv), _stage_views(kv, inverse, False), _stage_views(kv, inverse, True))
 
 
 def stage_transform(bits, kv, inverse=False):
@@ -125,15 +166,27 @@ def stage_transform(bits, kv, inverse=False):
     when ``inverse`` is set) but in O(N log N) in-place row XORs instead of a
     dense product. Accepts a trailing axis of length N; leading axes are
     treated as a batch. The XORs run on one frames-last (N, batch) copy, each
-    a contiguous run; the result keeps the input's memory order.
+    a contiguous run; the result keeps the input's memory order. A single
+    frame, 1-D or with every leading axis of length 1, is transformed in its
+    own C-ordered copy, which is returned. The plan of each (kv, inverse) is
+    built and validated once, then cached.
     """
-    kv = validate_kernel_vector(kv)
-    x = np.array(np.asarray(bits).T, dtype=np.uint8, order="C")
-    n = prod(kv)
-    if x.shape[0] != n:
-        raise ValueError(f"input length {x.shape[0]} does not match code length {n}")
-    for depth, k in enumerate(kv):
-        apply_kernel(x.reshape(prod(kv[:depth]), k, -1), k, inverse)
-    out = np.empty_like(bits, dtype=np.uint8)
-    out.T[...] = x
+    plan = _stage_plan(tuple(kv), inverse)
+    bits = np.asarray(bits)
+    n = plan.n
+    if bits.shape[-1:] != (n,):
+        raise ValueError(f"input shape {bits.shape} does not end in the code length {n}")
+    if bits.size == n:
+        out = x = np.array(bits, dtype=np.uint8, order="C")
+        stages = plan.single
+    else:
+        x = np.array(bits.T, dtype=np.uint8, order="C")
+        out, stages = None, plan.batch
+    for shape, steps in stages:
+        v = x.reshape(shape)
+        for a, b in steps:
+            v[a] ^= v[b]
+    if out is None:
+        out = np.empty_like(bits, dtype=np.uint8)
+        out.T[...] = x
     return out

@@ -45,6 +45,15 @@ def _llr_dtype(llr):
     return _FLOAT32 if getattr(llr, "dtype", None) is _FLOAT32 else np.float64
 
 
+def _real_llrs(llr):
+    """llr as an array of the float type LLR arithmetic keeps; complex LLRs raise ValueError."""
+    dtype = _llr_dtype(llr)
+    llr = np.asarray(llr)
+    if llr.dtype.kind == "c":
+        raise ValueError(f"LLRs must be real, got {llr.dtype} values")
+    return llr.astype(dtype, copy=False)
+
+
 def g_op(l0, l1, u0):
     """(-1)^u0 * l0 + l1, with u0 the left partial sum."""
     return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + l1
@@ -91,14 +100,14 @@ class _TreeDecoder:
 
         Computes in float32 for float32 LLRs and in float64 otherwise, as decode_batch.
         """
-        llr = np.asarray(llr, dtype=_llr_dtype(llr))
+        llr = _real_llrs(llr)
         if llr.shape != (self.spec.n_bits,):
             raise ValueError(f"expected {self.spec.n_bits} LLRs, got shape {llr.shape}")
         u, x = self.decode_batch(llr[np.newaxis, :])
         return u[0], x[0]
 
     def decode_batch(self, llrs):
-        """Decode a (batch, N) array of frames; NaN LLRs are rejected.
+        """Decode a (batch, N) array of frames; NaN and complex LLRs are rejected.
 
         The walk computes in the precision of the LLRs: float32 for a float32
         array, float64 for anything else. LLRs are saturated to that type's
@@ -108,7 +117,7 @@ class _TreeDecoder:
         walk's frames-last arrays for an F-contiguous input, else C-ordered copies.
         """
         n = self.spec.n_bits
-        llrs = np.asarray(llrs, dtype=_llr_dtype(llrs))
+        llrs = _real_llrs(llrs)
         if llrs.ndim != 2 or llrs.shape[1] != n:
             raise ValueError(f"expected (batch, {n}) LLRs, got {llrs.shape}")
         # min() propagates NaN and, unlike isnan(), allocates no batch-sized mask

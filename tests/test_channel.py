@@ -80,6 +80,16 @@ class TestStopRule:
         with pytest.raises(ValueError, match="at least 1"):
             StopRule(**fields)
 
+    @pytest.mark.parametrize("fields", [dict(max_frames=10.5), dict(min_frame_errors=2.0),
+                                        dict(max_frames=True), dict(min_frame_errors="5")])
+    def test_rejects_non_integer_fields(self, fields):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StopRule(**fields)
+
+    def test_accepts_numpy_integers(self):
+        stop = StopRule(max_frames=np.int64(64), min_frame_errors=np.uint8(3))
+        assert stop.reached(channel.SnrPoint(0.0, frames=64))
+
 
 class TestRunFer:
     def test_noiseless_proxy_zero_fer(self, spec96):
@@ -295,6 +305,21 @@ class TestRunFer:
         # a batch of 0 frames would never advance the point
         with pytest.raises(ValueError, match="at least 1"):
             run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), **kw)
+
+    @pytest.mark.parametrize("kw", [dict(batch_size=10.5), dict(workers=1.5), dict(workers=True),
+                                    dict(batch_size=np.float64(64))])
+    def test_rejects_non_integer_workers_or_batch_size(self, spec96, kw):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), **kw)
+
+    def test_accepts_numpy_integer_workers_and_batch_size(self, spec96):
+        stats = run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), workers=np.int64(2),
+                        batch_size=np.int32(20))
+        assert stats.points[0].frames == 64
+
+    def test_rejects_unknown_decoder_before_any_point(self, spec96):
+        with pytest.raises(ValueError, match="unknown decoder kind 'bogus'"):
+            run_fer(spec96, decoder="bogus", snrs=())
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ebn0_db", BAD_EBN0_DB)

@@ -269,6 +269,25 @@ class TestDecodeSPC:
         assert np.array_equal(beta, ml)
 
 
+@pytest.mark.parametrize("kv", [(2,), (3,), (2, 3), (3, 3), (2, 3, 3)], ids=str)
+def test_leaf_decoders_agree_across_layouts(kv, rng):
+    # A 1-D frame, a (1, span) row, a C-ordered batch and the walk's F-ordered
+    # view of its frames-last block decode alike; integer LLRs bring ties.
+    span = int(np.prod(kv))
+    alpha = rng.integers(-2, 3, (40, span)).astype(float)
+    alpha[20:] = rng.normal(0, 2, (20, span))
+    walk = np.ascontiguousarray(alpha.T).T
+    for decode, arg in ((decode_rate1, kv), (decode_spc, kv), (decode_rep, rep_pattern(kv))):
+        beta, u = decode(alpha, arg)
+        for other in (decode(walk, arg), decode(np.ascontiguousarray(walk), arg)):
+            assert np.array_equal(other[0], beta) and np.array_equal(other[1], u)
+        for i in range(len(alpha)):
+            for frame in (alpha[i], alpha[i : i + 1], walk[i : i + 1]):
+                b, s = decode(frame, arg)
+                assert b.shape == s.shape == frame.shape
+                assert np.array_equal(b.reshape(-1), beta[i]) and np.array_equal(s.reshape(-1), u[i])
+
+
 class TestDecodeRep:
     def test_rep3a_excludes_masked_index(self):
         beta, u = decode_rep(np.array([5.0, -1.0, -2.0]), rep_pattern((3,)))

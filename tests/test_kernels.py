@@ -114,6 +114,37 @@ def test_stage_transform_single_frame(rng):
     assert np.array_equal(stage_transform(u, kv), gf2_vecmat(u, generator_matrix(kv)))
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("kv", [(2,), (3,), (3, 2), (2, 3, 3), (3, 3, 2, 2)], ids=str)
+def test_stage_transform_layouts_agree(kv, inverse, rng):
+    # The one-frame and the frames-last paths give the oracle's bits in the
+    # input's shape and leave the input as it was; an F-ordered batch comes
+    # back F-ordered.
+    n = int(np.prod(kv))
+    m = inverse_generator(kv) if inverse else generator_matrix(kv)
+    wide = rng.integers(0, 2, (10, n), dtype=np.uint8)
+    before = wide.copy()
+    inputs = [wide[0], wide[:1], wide[:1, np.newaxis], wide[:0], wide[:5], np.asfortranarray(wide[:5]),
+              wide[::2], np.ascontiguousarray(wide.T).T[3:4]]
+    for bits in inputs:
+        for kernels in (kv, list(kv)):
+            out = stage_transform(bits, kernels, inverse=inverse)
+            assert out.shape == bits.shape and out.dtype == np.uint8
+            assert np.array_equal(out, gf2_vecmat(bits, m))
+    assert stage_transform(inputs[5], kv, inverse=inverse).flags.f_contiguous
+    assert np.array_equal(wide, before)
+
+
+def test_stage_transform_rejects_bad_input_after_a_cached_plan():
+    bits = np.zeros(6, dtype=np.uint8)
+    assert not stage_transform(bits, (2, 3), inverse=True).any()
+    for kv in ((2, 4), [2, 5], (), (2,) * 17):
+        with pytest.raises(ValueError):
+            stage_transform(bits, kv, inverse=True)
+    with pytest.raises(ValueError, match="code length 6"):
+        stage_transform(np.zeros((2, 5), dtype=np.uint8), (2, 3))
+
+
 def test_validate_kernel_vector_rejects():
     with pytest.raises(ValueError):
         validate_kernel_vector(())

@@ -106,6 +106,19 @@ def test_float32_nan_rejected(kind):
         DECODERS[kind](spec).decode(llrs[1])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", DECODERS)
+def test_complex_llrs_rejected(kind):
+    # Cast to float, a complex LLR would lose its imaginary part with only a
+    # ComplexWarning; an all-real complex array is rejected by its type too.
+    decoder = DECODERS[kind](design_code((2, 3), 3))
+    for llr in (np.ones(6) + 1j, np.ones(6, dtype=np.complex64), [1j] * 6):
+        with pytest.raises(ValueError, match="LLRs must be real"):
+            decoder.decode(llr)
+    with pytest.raises(ValueError, match="LLRs must be real"):
+        decoder.decode_batch(np.ones((2, 6)) - 1j)
+
+
 STEPS = ("f_op", "g_op", "lambda0", "lambda1", "lambda2")
 LEAVES = ("decode_rate1", "decode_spc", "decode_rep")
 

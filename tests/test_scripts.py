@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on a small code."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -30,3 +31,11 @@ def test_script_writes_one_row_per_snr(tmp_path, monkeypatch, capsys, script, ex
         header, row = (tmp_path / name).read_text().strip().splitlines()
         assert header == ",".join(FER_FIELDS)
         assert row.split(",")[:2] == ["3", "64"]
+
+
+def test_output_digest_quick_prints_both_digests(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "--quick"])
+    runpy.run_path(str(SCRIPTS / "output_digest.py"), run_name="__main__")
+    decode, sim = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"decode 1 codes x 3 decoders x 3 frames sha256 [0-9a-f]{64}", decode)
+    assert re.fullmatch(r"run_fer 1 runs sha256 [0-9a-f]{64}", sim)
