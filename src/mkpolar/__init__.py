@@ -14,8 +14,6 @@ from .construction import (
     design_code,
     ga_reliabilities,
     order_kernels,
-    phi,
-    phi_inv,
     select_frozen,
 )
 from .encoding import encode_message, expand_message
@@ -31,14 +29,7 @@ from .fast_ssc import (
     decode_spc,
     rep_pattern,
 )
-from .kernels import (
-    T2,
-    T3,
-    generator_matrix,
-    inverse_generator,
-    kron,
-    stage_transform,
-)
+from .kernels import T2, T3, stage_transform
 from .sc import (
     SCDecoder,
     f_op,

@@ -122,6 +122,8 @@ def sweep_fixed_k(k_bits=164, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB,
     For each target rate the nearest supported length above K is used; the
     emitted R is the realized k/N.
     """
+    if k_bits < 1:
+        raise ValueError(f"K must be at least 1, got {k_bits}")
     if k_bits >= MAX_CODE_LENGTH:  # no code fits; for a huge K the search below never ends
         raise ValueError(f"K {k_bits} needs a code length above the maximum of {MAX_CODE_LENGTH}")
     rows = []

@@ -167,7 +167,8 @@ def run_fer(
     index). The LLRs are computed in float64 and decoded in float32.
     Results are reproducible for a given (seed, spec, snrs, stop),
     independent of workers and batch_size. Raises ValueError for a degenerate
-    code, a decoder not in DECODER_KINDS, workers other than an integer in
+    code, a decoder not in DECODER_KINDS, a seed other than a non-negative
+    integer (not a bool), workers other than an integer in
     1..MAX_WORKERS, batch_size other than an integer in 1..MAX_BATCH_LLRS // N,
     or an Eb/N0 out of range.
     """
@@ -175,6 +176,8 @@ def run_fer(
         raise ValueError("simulation needs 0 < K < N")
     if decoder not in DECODER_KINDS:
         raise ValueError(f"unknown decoder kind {decoder!r}; expected one of {DECODER_KINDS}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_count("workers", workers, MAX_WORKERS)
     _check_count("batch_size", batch_size, MAX_BATCH_LLRS // spec.n_bits, f" at N={spec.n_bits}")
     channels = [(ebn0_db, noise_variance(ebn0_db, spec.rate)) for ebn0_db in snrs]

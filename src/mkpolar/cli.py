@@ -71,7 +71,7 @@ def load_code_spec(path):
                 raise ValueError(f"{key} is given twice")
             fields[key] = value.strip()
         frozen = [int(x) for x in fields["frozen"].split(",")] if fields.get("frozen") else []
-        kernels = fields["kernels"].split(",")
+        kernels = [int(k) for k in fields["kernels"].split(",")]
         return CodeSpec.from_frozen_indices(int(fields["N"]), int(fields["K"]), kernels, frozen)
     except KeyError as exc:
         raise CommandError(f"code spec file {path} has no {exc.args[0]} line") from exc
@@ -114,7 +114,7 @@ def _build_code(args):
     if args.kernels is not None:
         if args.k is None:
             raise CommandError("--kernels also needs --k")
-        return design_code(args.kernels.split(","), args.k, args.ebn0)
+        return design_code([int(k) for k in args.kernels.split(",")], args.k, args.ebn0)
     if args.n is None or args.k is None:
         raise CommandError("either --spec, --kernels or both --n and --k are required")
     return construct_code(args.n, args.k, ORDERINGS[args.order], args.ebn0)

@@ -60,20 +60,6 @@ def _phi_inv(y):
     return np.where(y > _PHI_INV_Y_SPLIT, near_one, (_A * log_y + _B) ** _C)
 
 
-def phi(x):
-    """Mean-to-expectation proxy phi(x), approximated in two branches."""
-    if not x >= 0:  # also rejects NaN
-        raise ValueError(f"phi requires x >= 0, got {x}")
-    return float(_phi(np.array([x], dtype=float))[0])
-
-
-def phi_inv(y):
-    """Inverse of phi on (0, 1], approximated in two branches."""
-    if not 0.0 < y <= 1.0:
-        raise ValueError(f"phi_inv requires 0 < y <= 1, got {y}")
-    return float(_phi_inv(np.array([y], dtype=float))[0])
-
-
 def _ga_stage(z, k):
     """Means of every node's k children, interleaved as (left, [center,] right)."""
     # 1 - (1-p)^2 is computed as p*(2-p): the naive form cancels to zero in
@@ -175,8 +161,6 @@ class OrderingStrategy:
     FIRST = "first"
     LAST = "last"
     HIGHEST_RELIABILITY = "highest_reliability"
-
-    ALL = (FIRST, LAST, HIGHEST_RELIABILITY)
 
 
 def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN0_DB):

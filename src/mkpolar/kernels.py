@@ -1,32 +1,27 @@
-"""GF(2) kernel algebra: polarizing matrices, Kronecker products, generators.
+"""GF(2) kernel algebra: the 2x2 and 3x3 polarizing kernels as row XORs.
 
-The generator matrix of a multi-kernel polar code is the left-to-right
-Kronecker product of 2x2 and 3x3 polarizing kernels, described by a kernel
-vector such as (2, 2, 3). All matrices are dense uint8 arrays with entries
-in {0, 1}; arithmetic is mod 2.
+The generator of a multi-kernel polar code is the left-to-right Kronecker
+product of 2x2 and 3x3 polarizing kernels, described by a kernel vector such
+as (2, 2, 3). Arithmetic is mod 2 on uint8 arrays with entries in {0, 1}.
 
 The encoder, the decode tree's partial sums (apply_kernel) and the leaf
-inverses all run the kernels as in-place row XORs (KERNEL_STEPS); the
-matrices are the oracle the steps are tested against. stage_transform keeps
-one immutable plan per kernel vector and direction, so a call validates
-nothing it has seen before.
+inverses all run the kernels as in-place row XORs (KERNEL_STEPS), stage by
+stage. stage_transform keeps one immutable plan per kernel vector and
+direction, so a call validates nothing it has seen before.
 """
 
-from functools import lru_cache, reduce
+import operator
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
-# Arikan kernel and the ternary kernel, with their GF(2) inverses.
-# T2 is self-inverse; T3_INV satisfies T3 @ T3_INV = I (mod 2).
+# Arikan kernel and the ternary kernel.
 T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-T2_INV = T2
-T3_INV = np.array([[1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
 
 KERNELS = {2: T2, 3: T3}
-KERNEL_INVERSES = {2: T2_INV, 3: T3_INV}
 
 # T_k as row operations: a step (a, b) is row a ^= row b. Each step is its own
 # inverse, so running the steps in reverse multiplies by T_k^-1.
@@ -37,8 +32,15 @@ MAX_CODE_LENGTH = 2**16
 
 
 def validate_kernel_vector(kv):
-    """Return kv as a tuple of ints: nonempty, each 2 or 3, product at most MAX_CODE_LENGTH."""
-    kv = tuple(int(k) for k in kv)
+    """Return kv as a tuple of ints: nonempty, each 2 or 3, product at most MAX_CODE_LENGTH.
+    Each entry is taken by operator.index, so a float, even 2.0, or a str is rejected."""
+    sizes = []
+    for k in kv:
+        try:
+            sizes.append(operator.index(k))
+        except TypeError:
+            raise ValueError(f"kernel size {k!r} is not an integer") from None
+    kv = tuple(sizes)
     if not kv:
         raise ValueError("kernel vector must be nonempty")
     bad = [k for k in kv if k not in (2, 3)]
@@ -57,14 +59,7 @@ def factor_length(n):
     """
     if not 2 <= n <= MAX_CODE_LENGTH:
         raise ValueError(f"codeword length must be in 2..{MAX_CODE_LENGTH}, got {n}")
-    n_two = n_three = 0
-    rest = n
-    while rest % 2 == 0:
-        rest //= 2
-        n_two += 1
-    while rest % 3 == 0:
-        rest //= 3
-        n_three += 1
+    n_two, n_three, rest = _factor(n)
     if rest != 1:
         below, above = nearest_valid_lengths(n)
         raise ValueError(
@@ -73,44 +68,21 @@ def factor_length(n):
     return n_two, n_three
 
 
-def is_valid_length(n):
-    """Whether n is a supported codeword length 2**a * 3**b >= 2."""
-    return n >= 2 and _is_smooth(n)
-
-
 def nearest_valid_lengths(n):
     """Closest supported lengths (below, above) bracketing n."""
-    below = next((m for m in range(n, 1, -1) if _is_smooth(m)), 2)
-    above = next(m for m in range(max(n, 2), 3 * max(n, 2) + 4) if m > n and _is_smooth(m))
+    below = next((m for m in range(n, 1, -1) if _factor(m)[2] == 1), 2)
+    above = next(m for m in range(max(n, 2), 3 * max(n, 2) + 4) if m > n and _factor(m)[2] == 1)
     return below, above
 
 
-def _is_smooth(n):
-    for p in (2, 3):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
-def kron(a, b):
-    """Kronecker product of two 0/1 matrices (entries stay in {0, 1})."""
-    return np.kron(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
-
-
-def generator_matrix(kv):
-    """N x N generator: Kronecker product of the kernels in kv order."""
-    kv = validate_kernel_vector(kv)
-    return reduce(kron, (KERNELS[k] for k in kv))
-
-
-def inverse_generator(kv):
-    """GF(2) inverse of generator_matrix(kv).
-
-    The inverse of a Kronecker product is the Kronecker product of the
-    per-kernel inverses, taken in the same order.
-    """
-    kv = validate_kernel_vector(kv)
-    return reduce(kron, (KERNEL_INVERSES[k] for k in kv))
+def _factor(n):
+    """(a, b, rest) with n = 2**a * 3**b * rest and rest prime to 6, for n >= 1."""
+    a = b = 0
+    while n % 2 == 0:
+        n, a = n // 2, a + 1
+    while n % 3 == 0:
+        n, b = n // 3, b + 1
+    return a, b, n
 
 
 def apply_kernel(v, k):
@@ -152,9 +124,10 @@ def _stage_views(kv, inverse, single):
 
 
 # Distinct kernel vectors are few (a code's suffixes); the bound only caps a
-# process that transforms many codes.
-@lru_cache(maxsize=1024)
-def _stage_plan(kv, inverse):
+# process that transforms many codes. Typed on each kernel size, so a 2.0 is
+# validated (and rejected) instead of finding the plan of a 2.
+@lru_cache(maxsize=1024, typed=True)
+def _stage_plan(inverse, *kv):
     kv = validate_kernel_vector(kv)
     return _StagePlan(prod(kv), _stage_views(kv, inverse, False), _stage_views(kv, inverse, True))
 
@@ -162,16 +135,16 @@ def _stage_plan(kv, inverse):
 def stage_transform(bits, kv, inverse=False):
     """Apply the per-stage blockwise kernel maps of the decode tree.
 
-    Equivalent to ``bits @ generator_matrix(kv)`` (or the inverse generator
-    when ``inverse`` is set) but in O(N log N) in-place row XORs instead of a
-    dense product. Accepts a trailing axis of length N; leading axes are
+    Multiplies by the generator, the Kronecker product of the kernels in kv
+    order (by its inverse when ``inverse`` is set), in O(N log N) in-place
+    row XORs. Accepts a trailing axis of length N; leading axes are
     treated as a batch. The XORs run on one frames-last (N, batch) copy, each
     a contiguous run; the result keeps the input's memory order. A single
     frame, 1-D or with every leading axis of length 1, is transformed in its
     own C-ordered copy, which is returned. The plan of each (kv, inverse) is
     built and validated once, then cached.
     """
-    plan = _stage_plan(tuple(kv), inverse)
+    plan = _stage_plan(inverse, *kv)
     bits = np.asarray(bits)
     n = plan.n
     if bits.shape[-1:] != (n,):

@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mkpolar.channel import BLOCK_FRAMES, awgn_llr, modulate
 from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
 from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
-from mkpolar.kernels import generator_matrix, inverse_generator, stage_transform
+from mkpolar.kernels import KERNELS, stage_transform
 from mkpolar.sc import SCDecoder
 
 # The three decoder configurations whose outputs the equivalence tests compare.
@@ -37,6 +38,33 @@ def kernel_vectors(max_n, min_n=2):
 
     grow([], 1)
     return [kv for kv in found if kv]
+
+
+# Dense GF(2) generators, the oracle for kernels.stage_transform: the inverse
+# of a Kronecker product is the Kronecker product of the kernels' inverses,
+# taken in the same order. T2 is its own inverse; T3 @ T3_INV = I (mod 2).
+T3_INV = np.array([[1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
+KERNEL_INVERSES = {2: KERNELS[2], 3: T3_INV}
+
+
+def generator_matrix(kv):
+    """N x N generator: Kronecker product of the kernels in kv order."""
+    return reduce(np.kron, (KERNELS[k] for k in kv))
+
+
+def inverse_generator(kv):
+    """GF(2) inverse of generator_matrix(kv)."""
+    return reduce(np.kron, (KERNEL_INVERSES[k] for k in kv))
+
+
+def is_valid_length(n):
+    """Whether n is a code length 2**a * 3**b >= 2 (the oracle for kernels.factor_length)."""
+    if n < 2:
+        return False
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def gf2_vecmat(u, m):

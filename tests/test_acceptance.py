@@ -22,15 +22,10 @@ from mkpolar.fast_ssc import (
     rep_pattern,
 )
 from mkpolar.channel import StopRule, run_fer
-from mkpolar.kernels import (
-    factor_length,
-    generator_matrix,
-    inverse_generator,
-    stage_transform,
-)
+from mkpolar.kernels import factor_length, stage_transform
 from mkpolar.sc import SCDecoder
 
-from conftest import gf2_matmul, kernel_vectors, rate1_spec
+from conftest import generator_matrix, gf2_matmul, inverse_generator, kernel_vectors, rate1_spec
 
 # Reference values: SC ops, Fast-SSC ops and per-class node counts for every
 # (N, R) at ternary-last / ternary-first orderings, GA design at 3 dB.

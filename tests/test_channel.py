@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,21 @@ class TestRunFer:
         stats = run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), workers=np.int64(2),
                         batch_size=np.int32(20))
         assert stats.points[0].frames == 64
+
+    @pytest.mark.parametrize("seed", [None, 1.5, -1, True, "7"], ids=repr)
+    def test_rejects_bad_seed_before_any_design(self, spec96, monkeypatch, seed):
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_fer started work")
+
+        for name in ("ThreadPoolExecutor", "design_code", "_make_decoder", "_simulate_chunk"):
+            monkeypatch.setattr(channel, name, no_work)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            run_fer(spec96, snrs=(2.0,), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64, np.uint64(3)], ids=repr)
+    def test_accepts_any_non_negative_integer_seed(self, spec96, seed):
+        stats = run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), seed=seed)
+        assert stats.points[0].frames == 64 and stats.seed == seed
 
     def test_rejects_unknown_decoder_before_any_point(self, spec96):
         with pytest.raises(ValueError, match="unknown decoder kind 'bogus'"):

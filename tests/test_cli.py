@@ -140,6 +140,18 @@ class TestSpecFiles:
         assert complaint in err and len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("kernels", ["2.5,3", "2.0,3", "2,x"])
+    def test_non_integer_kernels_rejected(self, tmp_path, capsys, kernels):
+        # Kernel text is parsed by int(), like N, K and the frozen indices.
+        path = tmp_path / "bad.spec"
+        path.write_text(f"N 6\nK 3\nkernels {kernels}\nfrozen 0,1,2\n")
+        for argv in (["encode", "--spec", str(path), "--message", "101"],
+                     ["encode", "--kernels", kernels, "--k", "3", "--message", "101"]):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+            assert "invalid literal for int()" in captured.err
+
     @pytest.mark.parametrize(
         "header,complaint",
         [("N 1000000000000\nK 2", "N 1000000000000 != kernel product 4"),
@@ -432,6 +444,7 @@ class TestSimulate:
             (["--snr", "inf"], "out of range"),
             (["--snr", "3080"], "out of range"),
             (["--snr", "4:0.5:1"], "empty"),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ],
         ids=lambda v: v if isinstance(v, str) else " ".join(v),
     )
@@ -485,6 +498,13 @@ class TestAnalyze:
     def test_requires_a_mode(self, capsys):
         assert run_cli(["analyze"]) == 2
         assert "--table2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-5"])
+    def test_sweep_k_below_one_rejected(self, capsys, k):
+        assert run_cli(["analyze", "--sweep-k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"mkpolar analyze: K must be at least 1, got {k}"]
 
     def test_sweep_n(self, capsys):
         assert run_cli(["analyze", "--sweep-n", "96"]) == 0

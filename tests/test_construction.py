@@ -14,65 +14,59 @@ from mkpolar.construction import (
     construct_code,
     design_code,
     ga_reliabilities,
+    _phi,
+    _phi_inv,
     order_kernels,
-    phi,
-    phi_inv,
     select_frozen,
 )
-from mkpolar.kernels import factor_length, is_valid_length
+from mkpolar.kernels import factor_length
 
-from conftest import kernel_vectors, scalar_ga_reliabilities, scalar_phi, scalar_phi_inv
+from conftest import is_valid_length, kernel_vectors, scalar_ga_reliabilities, scalar_phi, scalar_phi_inv
 
 
 class TestPhi:
+    """The array phi GA runs, on the scalar oracle's values (tests/conftest.py)."""
+
     def test_at_zero(self):
-        assert phi(0.0) == pytest.approx(1.0)
+        assert _phi(np.array([0.0]))[0] == pytest.approx(1.0) == scalar_phi(0.0)
 
     def test_low_branch(self):
         # exp(0.0564 * 0.25 - 0.485 * 0.5), evaluated independently
-        assert phi(0.5) == pytest.approx(0.7958058738129692, rel=1e-12)
+        assert _phi(np.array([0.5]))[0] == pytest.approx(0.7958058738129692, rel=1e-12)
+        assert scalar_phi(0.5) == pytest.approx(0.7958058738129692, rel=1e-12)
 
     def test_high_branch(self):
         # exp(-0.4527 * 2**0.86 + 0.0218)
-        assert phi(2.0) == pytest.approx(0.44938834990844295, rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            phi(-0.1)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="requires x >= 0, got nan"):
-            phi(float("nan"))
+        assert _phi(np.array([2.0]))[0] == pytest.approx(0.44938834990844295, rel=1e-12)
+        assert scalar_phi(2.0) == pytest.approx(0.44938834990844295, rel=1e-12)
 
     def test_strictly_decreasing(self):
-        xs = np.arange(0.0, 30.0, 0.01)
-        ys = np.array([phi(x) for x in xs])
+        ys = _phi(np.arange(0.0, 30.0, 0.01))
         assert (np.diff(ys) < 0).all()
 
     def test_range(self):
-        for x in (0.0, 0.3, 0.8678, 5.0, 300.0):
-            assert 0.0 < phi(x) <= 1.0
+        ys = _phi(np.array([0.0, 0.3, 0.8678, 5.0, 300.0]))
+        assert ((0.0 < ys) & (ys <= 1.0)).all()
 
 
 class TestPhiInv:
+    """The array phi_inv GA runs, on the scalar oracle's values (tests/conftest.py)."""
+
     def test_at_one(self):
-        assert phi_inv(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert _phi_inv(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-12)
+        assert scalar_phi_inv(1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_low_branch(self):
         # ((log 0.5)/alpha - beta/alpha)**(1/gamma), evaluated independently
-        assert phi_inv(0.5) == pytest.approx(1.701263047638045, rel=1e-12)
-
-    def test_rejects_out_of_range(self):
-        for y in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                phi_inv(y)
+        assert _phi_inv(np.array([0.5]))[0] == pytest.approx(1.701263047638045, rel=1e-12)
+        assert scalar_phi_inv(0.5) == pytest.approx(1.701263047638045, rel=1e-12)
 
     def test_roundtrip_exact_on_high_branch(self):
-        assert phi_inv(phi(2.0)) == pytest.approx(2.0, rel=1e-9)
+        assert _phi_inv(_phi(np.array([2.0])))[0] == pytest.approx(2.0, rel=1e-9)
 
     def test_roundtrip_within_5pct(self):
-        for x in np.arange(0.2, 20.0, 0.1):
-            assert phi_inv(phi(x)) == pytest.approx(x, rel=0.05)
+        xs = np.arange(0.2, 20.0, 0.1)
+        np.testing.assert_allclose(_phi_inv(_phi(xs)), xs, rtol=0.05)
 
 
 class TestGaReliabilities:
@@ -86,8 +80,8 @@ class TestGaReliabilities:
     def test_binary_children(self):
         z = ga_reliabilities((2,), 0.5, 3.0)
         z0 = 4 * 0.5 * 10**0.3
-        p = phi(z0)
-        assert z[0] == pytest.approx(phi_inv(p * (2 - p)), rel=1e-12)
+        p = scalar_phi(z0)
+        assert z[0] == pytest.approx(scalar_phi_inv(p * (2 - p)), rel=1e-12)
         assert z[0] < z[1]
 
     def test_ternary_last_child_doubles(self):
@@ -137,10 +131,10 @@ class TestArrayGaMatchesScalarOracle:
     """The array GA against the scalar GA it replaced (tests/conftest.py)."""
 
     def test_phi_and_phi_inv(self):
-        for x in np.concatenate([np.arange(0.0, 30.0, 0.01), [0.8678, 1e3, 1e6]]):
-            assert phi(x) == pytest.approx(scalar_phi(x), rel=1e-12)
-        for y in np.concatenate([np.linspace(1e-300, 1.0, 3001)[1:], [0.6846, 1e-300]]):
-            assert phi_inv(y) == pytest.approx(scalar_phi_inv(y), rel=1e-12)
+        xs = np.concatenate([np.arange(0.0, 30.0, 0.01), [0.8678, 1e3, 1e6]])
+        np.testing.assert_allclose(_phi(xs), [scalar_phi(x) for x in xs], rtol=1e-12, atol=1e-12)
+        ys = np.concatenate([np.linspace(1e-300, 1.0, 3001)[1:], [0.6846, 1e-300]])
+        np.testing.assert_allclose(_phi_inv(ys), [scalar_phi_inv(y) for y in ys], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", (96, 432, 768, 2304))
     def test_frozen_sets_and_orderings_over_grid(self, n):
@@ -368,4 +362,4 @@ class TestCodeSpec:
 @given(st.floats(0.05, 25.0))
 @settings(max_examples=60, deadline=None)
 def test_phi_roundtrip_property(x):
-    assert phi_inv(phi(x)) == pytest.approx(x, rel=0.05, abs=1e-3)
+    assert _phi_inv(_phi(np.array([x])))[0] == pytest.approx(x, rel=0.05, abs=1e-3)

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from mkpolar.encoding import encode_message, expand_message
-from mkpolar.kernels import generator_matrix, inverse_generator, stage_transform
+from mkpolar.kernels import stage_transform
 
-from conftest import encode_matrix, gf2_vecmat, kernel_vectors, spec_with_frozen
+from conftest import (
+    encode_matrix,
+    generator_matrix,
+    gf2_vecmat,
+    inverse_generator,
+    kernel_vectors,
+    spec_with_frozen,
+)
 
 
 def _spec(kv, frozen):

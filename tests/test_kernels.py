@@ -3,22 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkpolar.construction import CodeSpec, design_code
 from mkpolar.kernels import (
     T2,
     T3,
     factor_length,
-    generator_matrix,
-    inverse_generator,
-    is_valid_length,
-    kron,
     nearest_valid_lengths,
     stage_transform,
     validate_kernel_vector,
 )
 
-from conftest import gf2_matmul, gf2_vecmat, kernel_vectors
+from conftest import (
+    T3_INV,
+    generator_matrix,
+    gf2_matmul,
+    gf2_vecmat,
+    inverse_generator,
+    is_valid_length,
+    kernel_vectors,
+)
 
 KV_LE_96 = kernel_vectors(96)
+
+
+def transform_matrix(kv, inverse=False):
+    """The matrix stage_transform multiplies by: its rows are the images of the unit vectors."""
+    n = int(np.prod(kv))
+    return stage_transform(np.eye(n, dtype=np.uint8), kv, inverse=inverse)
 
 
 def test_kernel_matrices():
@@ -28,7 +39,8 @@ def test_kernel_matrices():
 
 def test_kron_t2_t2():
     expected = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
-    assert kron(T2, T2).tolist() == expected
+    assert generator_matrix((2, 2)).tolist() == expected
+    assert transform_matrix((2, 2)).tolist() == expected
 
 
 def test_kron_t2_t3():
@@ -37,16 +49,24 @@ def test_kron_t2_t3():
     expected[:3, :3] = T3
     expected[3:, :3] = T3
     expected[3:, 3:] = T3
-    assert np.array_equal(kron(T2, T3), expected)
+    assert np.array_equal(generator_matrix((2, 3)), expected)
+    assert np.array_equal(transform_matrix((2, 3)), expected)
 
 
 def test_kron_identity():
-    assert np.array_equal(kron(np.eye(1, dtype=np.uint8), T3), T3)
+    # A one-kernel transform is the kernel itself, and its inverse the kernel's inverse.
+    for k, kernel, inverse in ((2, T2, T2), (3, T3, T3_INV)):
+        assert np.array_equal(transform_matrix((k,)), kernel)
+        assert np.array_equal(transform_matrix((k,), inverse=True), inverse)
 
 
 def test_kron_associative():
-    for a, b, c in [(T2, T2, T3), (T3, T2, T3), (T2, T3, T2)]:
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+    # The transform of a kernel vector is the Kronecker product of the
+    # transforms of its parts, however the vector is split.
+    for kv in [(2, 2, 3), (3, 2, 3), (2, 3, 2)]:
+        for cut in (1, 2):
+            head, tail = transform_matrix(kv[:cut]), transform_matrix(kv[cut:])
+            assert np.array_equal(transform_matrix(kv), np.kron(head, tail))
 
 
 def test_generator_single_kernels():
@@ -55,7 +75,7 @@ def test_generator_single_kernels():
 
 
 def test_generator_2_3():
-    assert np.array_equal(generator_matrix((2, 3)), kron(T2, T3))
+    assert np.array_equal(generator_matrix((2, 3)), np.kron(T2, T3))
 
 
 def test_inverse_t2_self():
@@ -65,6 +85,7 @@ def test_inverse_t2_self():
 def test_inverse_t3():
     t3_inv = inverse_generator((3,))
     assert t3_inv.tolist() == [[1, 0, 1], [1, 1, 0], [1, 1, 1]]
+    assert np.array_equal(transform_matrix((3,), inverse=True), t3_inv)
     assert np.array_equal(gf2_matmul(T3, t3_inv), np.eye(3, dtype=np.uint8))
 
 
@@ -150,6 +171,36 @@ def test_validate_kernel_vector_rejects():
         validate_kernel_vector(())
     with pytest.raises(ValueError):
         validate_kernel_vector((2, 4))
+
+
+@pytest.mark.parametrize("kv", [(2.5, 3.9), (2.0, 3), ("2", "3")], ids=repr)
+def test_non_integer_kernel_sizes_are_rejected(kv):
+    # Each entry is taken by operator.index; a (2, 3) plan is cached first, so
+    # the 2.0 cannot pass as the 2 it equals.
+    bits = np.zeros(6, dtype=np.uint8)
+    assert not stage_transform(bits, (2, 3)).any()
+    frozen = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
+    for build in (
+        lambda: validate_kernel_vector(kv),
+        lambda: design_code(kv, 3),
+        lambda: CodeSpec(6, 3, kv, frozen),
+        lambda: CodeSpec.from_frozen_indices(6, 3, kv, [0, 1, 2]),
+        lambda: stage_transform(bits, kv),
+        lambda: stage_transform(bits, kv, inverse=True),
+    ):
+        with pytest.raises(ValueError, match=f"kernel size {kv[0]!r} is not an integer") as info:
+            build()
+        assert "\n" not in str(info.value)
+
+
+def test_numpy_integer_kernel_sizes_are_accepted():
+    kv = (np.int64(2), np.uint8(3))
+    assert validate_kernel_vector(kv) == (2, 3)
+    assert all(type(k) is int for k in validate_kernel_vector(kv))
+    assert design_code(kv, 3).kernels == design_code((2, 3), 3).kernels == (2, 3)
+    assert np.array_equal(design_code(kv, 3).frozen, design_code((2, 3), 3).frozen)
+    u = np.array([0, 0, 0, 1, 0, 1], dtype=np.uint8)
+    assert np.array_equal(stage_transform(u, kv), stage_transform(u, (2, 3)))
 
 
 @given(st.integers(0, 8), st.integers(0, 5))

@@ -6,9 +6,9 @@ import pytest
 
 from mkpolar.construction import construct_code
 from mkpolar.encoding import expand_message
-from mkpolar.kernels import generator_matrix, inverse_generator, stage_transform
+from mkpolar.kernels import stage_transform
 
-from conftest import DECODERS, gf2_vecmat
+from conftest import DECODERS, generator_matrix, gf2_vecmat, inverse_generator
 
 
 @pytest.fixture(scope="module", params=[(144, 72, "last"), (72, 36, "first")], ids=str)
