@@ -19,7 +19,8 @@ run_fer  the rows of 96 run_fer runs: N 96 and 432 (K = N/2, last ordering,
          redesign on and off, at Eb/N0 1.0 and 2.5 dB with StopRule(700, 60).
 
 --quick keeps the first entry of each axis and a few frames; its digests
-differ from the full ones and only show that the script runs.
+differ from the full ones, and tests/test_scripts.py pins them, so the
+tier-1 suite catches a bit-level change to decoding or to the random stream.
 """
 
 import argparse

@@ -5,8 +5,10 @@ Frames are drawn in fixed blocks of BLOCK_FRAMES: frame f of SNR point p takes
 its message and noise from the RNG keyed on (seed, p, f // BLOCK_FRAMES), which
 draws the block's messages, then its noise, and run_fer applies chunk tallies
 in frame order. Results are therefore identical no matter how frames are
-batched or spread across workers. From the draw to the error tally, a chunk's
-arrays are Fortran-ordered (frames, N), so no step makes a transposing copy.
+batched or spread across workers. A chunk's messages, codewords and LLRs are
+Fortran-ordered (frames, N), frames-last as the decode walk holds them. Once
+every message is encoded, each block's noise is drawn and turned into LLRs
+while in cache, so one block's float64 noise and LLRs exist at a time.
 The draws and the channel LLRs are float64; the LLRs are saturated to
 float32's range and rounded once, and the decoders decode them in float32.
 """
@@ -30,11 +32,12 @@ DECODER_KINDS = ("sc", "fastssc")
 # N; a block of 64 amortises its construction. Changing this changes the stream.
 BLOCK_FRAMES = 64
 
-# Each worker is a thread holding its chunk's arrays (tens of MB at N=2304).
+# Each worker is a thread holding its chunk's arrays (about 30 MiB for 1024 frames at N=2304).
 MAX_WORKERS = 64
 
 # LLRs per chunk: the default batch of 1024 frames at MAX_CODE_LENGTH. A chunk
-# holds a few float64 arrays of batch_size x N entries, 512 MiB each at this cap.
+# holds batch_size x N float32 LLRs (256 MiB at this cap), four uint8 arrays of
+# that shape and a decode slab of up to 1.5 times the LLRs.
 MAX_BATCH_LLRS = 1024 * MAX_CODE_LENGTH
 
 # Channel LLRs are saturated to this before they are rounded to float32.
@@ -118,9 +121,8 @@ def _make_decoder(kind, spec, limits):
 
 def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
     n, k = spec.n_bits, spec.k_bits
-    # Fortran order: frames on the last axis of memory, as the decode walk holds them.
     msgs = np.empty((count, k), dtype=np.uint8, order="F")
-    noise = np.empty((count, n), order="F")
+    blocks = []  # each block's generator draws its noise once the messages are encoded
     end = start + count
     for block in range(start // BLOCK_FRAMES, -(-end // BLOCK_FRAMES)):
         rng = np.random.default_rng([seed, point_index, block])
@@ -129,20 +131,20 @@ def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
         # rows of the chunk, and of the block, that this block fills
         rows, taken = slice(lo - start, hi - start), slice(lo - first, hi - first)
         msgs[rows] = rng.integers(0, 2, size=(BLOCK_FRAMES, k), dtype=np.uint8)[taken]
-        noise[rows] = rng.standard_normal((BLOCK_FRAMES, n))[taken]
+        blocks.append((rng, rows, taken))
     u = expand_message(msgs, spec)
     x = stage_transform(u, spec.kernels)
-    # Saturate, then round once: a huge LLR must not overflow the float32 cast.
-    llrs = np.clip(awgn_llr(modulate(x), sigma2, noise), -_FLOAT32_MAX, _FLOAT32_MAX,
-                   out=np.empty((count, n), dtype=np.float32, order="F"))
-    # No float64 array outlives the draw: freeing the noise before the walk
-    # cuts the chunk's peak memory and the pages the next chunk faults in.
-    del noise
+    # Fortran order: frames on the last axis of memory, as the decode walk holds them.
+    llrs = np.empty((count, n), dtype=np.float32, order="F")
+    for rng, rows, taken in blocks:
+        # A block's LLRs are computed frames-last while its noise is in cache;
+        # they are saturated, then rounded once, so a huge LLR cannot overflow.
+        noise = np.ascontiguousarray(rng.standard_normal((BLOCK_FRAMES, n))[taken].T)
+        np.clip(awgn_llr(modulate(x.T[:, rows]), sigma2, noise), -_FLOAT32_MAX, _FLOAT32_MAX,
+                out=llrs.T[:, rows])
     u_hat, _ = decoder.decode_batch(llrs)
-    bad = u_hat != u
-    frame_errors = int(bad.any(axis=1).sum())
-    bit_errors = int(bad[:, spec.info_indices].sum())
-    return frame_errors, bit_errors
+    bad = u_hat.T != u.T
+    return int(bad.any(axis=0).sum()), int(bad[spec.info_indices].sum())
 
 
 def run_fer(

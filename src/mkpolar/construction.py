@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import MAX_CODE_LENGTH, factor_length, validate_kernel_vector
+from .kernels import MAX_CODE_LENGTH, _as_integer, factor_length, validate_kernel_vector
 
 _ALPHA = -0.4527
 _BETA = 0.0218
@@ -232,6 +232,7 @@ class CodeSpec:
         return cls(n_bits, k_bits, kernels, frozen)
 
     def __post_init__(self):
+        self.n_bits, self.k_bits = _as_integer("N", self.n_bits), _as_integer("K", self.k_bits)
         self.kernels = validate_kernel_vector(self.kernels)
         n = math.prod(self.kernels)
         if self.n_bits != n:
@@ -269,6 +270,7 @@ def design_code(kernels, k_bits, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
 def _design(kernels, k_bits, ebn0_db, z=None):
     """design_code's CodeSpec, running GA unless the kernels' means z are given;
     its ga_means are None for a K of 0 or N."""
+    k_bits = _as_integer("K", k_bits)
     kernels = validate_kernel_vector(kernels)
     n = math.prod(kernels)
     if 0 < k_bits < n:
@@ -287,6 +289,7 @@ def _design(kernels, k_bits, ebn0_db, z=None):
 def construct_code(n_bits, k_bits, ordering=OrderingStrategy.LAST, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     """Factor n_bits, order the kernels, and design the frozen set; a
     highest-reliability code reuses its ordering's GA means (see module docstring)."""
+    n_bits, k_bits = _as_integer("N", n_bits), _as_integer("K", k_bits)
     n_two, n_three = factor_length(n_bits)
     rate = k_bits / n_bits if 0 < k_bits < n_bits else 0.5
     kv, z = _order_kernels(n_two, n_three, ordering, rate, ebn0_db)

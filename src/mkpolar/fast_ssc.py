@@ -270,7 +270,8 @@ class FastSSCDecoder(_TreeDecoder):
         self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
     def _decode_leaf(self, node, alpha, beta, u):
-        """Decode a multi-bit leaf with LLRs alpha into its slices beta and u."""
+        """Decode a multi-bit leaf with (batch, span) LLRs alpha, or one frame's (span,),
+        into its slices beta and u; a REP sum of one frame runs as a batch of one."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
             beta[...] = 0
@@ -280,4 +281,4 @@ class FastSSCDecoder(_TreeDecoder):
         elif cls is NodeClass.SPC:
             beta[...], u[...] = decode_spc(alpha, node.kv_sub)
         else:
-            beta[...], u[...] = decode_rep(alpha, node.pattern)
+            beta[...], u[...] = decode_rep(alpha.reshape(-1, node.span), node.pattern)

@@ -31,16 +31,20 @@ KERNEL_STEPS = {2: ((0, 1),), 3: ((0, 1), (2, 0), (1, 2))}
 MAX_CODE_LENGTH = 2**16
 
 
+def _as_integer(name, value):
+    """value by operator.index; a bool, a float (even 2.0) or a str raises a one-line ValueError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def validate_kernel_vector(kv):
     """Return kv as a tuple of ints: nonempty, each 2 or 3, product at most MAX_CODE_LENGTH.
-    Each entry is taken by operator.index, so a float, even 2.0, or a str is rejected."""
-    sizes = []
-    for k in kv:
-        try:
-            sizes.append(operator.index(k))
-        except TypeError:
-            raise ValueError(f"kernel size {k!r} is not an integer") from None
-    kv = tuple(sizes)
+    Each entry is taken by _as_integer."""
+    kv = tuple([_as_integer("kernel size", k) for k in kv])
     if not kv:
         raise ValueError("kernel vector must be nonempty")
     bad = [k for k in kv if k not in (2, 3)]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,23 @@ class TestRunFer:
         monkeypatch.setattr(decoder, "decode_batch", logged)
         channel._simulate_chunk(decoder, 5, 100, spec96, noise_variance(2.0, spec96.rate), 0, 0)
         assert seen == [(np.float32, True)]
+
+    @pytest.mark.parametrize("ordering", ("first", "last"))
+    @pytest.mark.parametrize("kind", channel.DECODER_KINDS)
+    def test_chunk_peak_memory_at_n2304(self, kind, ordering):
+        # A 1024-frame N=2304 chunk holds its float32 LLRs (9 MiB), the messages'
+        # sourcewords and codewords, the decoder's outputs and one LLR slab; the
+        # noise and float64 channel LLRs are alive one 64-frame block at a time.
+        # Drawing all the noise at once peaked at 59.6 MiB; this design reads 28-35.
+        spec = construct_code(2304, 1152, ordering, ebn0_db=2.0)
+        decoder = channel._make_decoder(kind, spec, None)
+        tracemalloc.start()
+        try:
+            channel._simulate_chunk(decoder, 0, 1024, spec, noise_variance(2.0, spec.rate), 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_seed_changes_results(self, spec96):
         stop = StopRule(max_frames=1024, min_frame_errors=10_000)

@@ -354,6 +354,36 @@ class TestCodeSpec:
         with pytest.raises(ValueError, match="frozen mask entries must be 0 or 1"):
             CodeSpec(6, 3, (2, 3), mask)
 
+    @pytest.mark.parametrize(
+        "call,complaint",
+        [
+            (lambda: CodeSpec(6, 3.0, (2, 3), [1, 1, 1, 0, 0, 0]), "K 3.0 is not an integer"),
+            (lambda: CodeSpec(6.0, 3, (2, 3), [1, 1, 1, 0, 0, 0]), "N 6.0 is not an integer"),
+            (lambda: CodeSpec(6, True, (2, 3), [1, 1, 1, 1, 1, 0]), "K True is not an integer"),
+            (lambda: CodeSpec.from_frozen_indices(6, np.True_, (2, 3), [0, 1, 2, 3, 4]),
+             "K np.True_ is not an integer"),
+            (lambda: construct_code(96, True), "K True is not an integer"),
+            (lambda: construct_code(96.5, 48), "N 96.5 is not an integer"),
+            (lambda: construct_code(96.0, 48), "N 96.0 is not an integer"),
+            (lambda: construct_code(96, 48.5), "K 48.5 is not an integer"),
+            (lambda: design_code((2, 3), 3.0), "K 3.0 is not an integer"),
+            (lambda: design_code((2, 3), False), "K False is not an integer"),
+        ],
+        ids=("spec_float_k", "spec_float_n", "spec_bool_k", "indices_numpy_bool_k", "construct_bool_k",
+             "construct_fractional_n", "construct_float_n", "construct_float_k", "design_float_k",
+             "design_bool_k"),
+    )
+    def test_n_and_k_must_be_integers(self, call, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            call()
+        assert "\n" not in str(info.value)
+
+    def test_numpy_integer_n_and_k_are_stored_as_ints(self):
+        spec = construct_code(np.int64(96), np.uint16(48))
+        assert (spec.n_bits, spec.k_bits) == (96, 48)
+        assert type(spec.n_bits) is int and type(spec.k_bits) is int
+        assert type(design_code((2, 3), np.int32(3)).k_bits) is int
+
     def test_construct_code_rejects_bad_length(self):
         with pytest.raises(ValueError, match="96 and 108"):
             construct_code(100, 50)

@@ -159,6 +159,35 @@ class TestLlrOps:
         assert (f_op(a, b) <= 0) == ((a <= 0) ^ (b <= 0))
 
 
+def array_flags(a):
+    names = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED", "WRITEBACKIFCOPY")
+    return {name: a.flags[name] for name in names}
+
+
+# LLR step -> (LLR operands, partial sums)
+STEP_ARITY = {f_op: (2, 0), g_op: (2, 1), lambda0: (3, 0), lambda1: (3, 1), lambda2: (2, 2)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", [(), (5,), (5, 1), (5, 1024)], ids=str)
+@pytest.mark.parametrize("step", STEP_ARITY, ids=lambda step: step.__name__)
+def test_llr_step_into_out_equals_allocating_form(step, shape, dtype, rng):
+    n_llrs, n_sums = STEP_ARITY[step]
+    # Small integers give ties and zeros of both signs; the rest are Gaussian.
+    llrs = np.where(rng.random((n_llrs, *shape)) < 0.5, rng.integers(-2, 3, (n_llrs, *shape)),
+                    4 * rng.standard_normal((n_llrs, *shape))).astype(dtype)
+    llrs[rng.random(llrs.shape) < 0.1] = -0.0
+    sums = rng.integers(0, 2, (n_sums, *shape), dtype=np.uint8)
+    if shape == ():
+        llrs, sums = [dtype(v) for v in llrs], [int(v) for v in sums]
+    out = np.full(shape, np.nan, dtype=dtype)
+    kwargs = {} if step is g_op else {"scratch": np.full(shape, np.nan, dtype=dtype)}
+    want = step(*llrs, *sums)
+    got = step(*llrs, *sums, out=out, **kwargs)
+    assert got is out and got.dtype == want.dtype
+    assert_same_llrs(got, want)
+
+
 def naive_sc(spec, llr):
     """Buffer-free functional SC used as an oracle for the production decoder."""
 
@@ -284,6 +313,34 @@ class TestDecodeSC:
         llr = rng.normal(0, 2, (50, 12))
         u_hat, x_hat = SCDecoder(spec).decode_batch(llr)
         assert np.array_equal(x_hat, stage_transform(u_hat, spec.kernels))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("batch", [1, 40])
+    def test_in_range_f_ordered_input_is_read_in_place_and_untouched(self, dtype, batch, rng):
+        spec = spec_with_frozen((3, 2, 2), (np.arange(12) % 3 == 0).astype(np.uint8))
+        llrs = np.asfortranarray(rng.normal(1.0, 2.0, (batch, 12)).astype(dtype))
+        before, flags = llrs.copy(order="A"), array_flags(llrs)
+        u_hat, x_hat = SCDecoder(spec).decode_batch(llrs)
+        want_u, want_x = SCDecoder(spec).decode_batch(np.ascontiguousarray(llrs))
+        assert llrs.dtype == dtype and array_flags(llrs) == flags
+        assert np.array_equal(llrs, before) and llrs.flags.f_contiguous
+        assert np.array_equal(u_hat, want_u) and np.array_equal(x_hat, want_x)
+
+    @pytest.mark.parametrize("batch", [1, 40])
+    def test_f_ordered_input_with_infinities_is_saturated(self, batch, rng):
+        # An F-ordered input out of range is saturated into a copy, as a
+        # C-ordered one is: +-inf decide as +-bound, and the input keeps its infinities.
+        spec = spec_with_frozen((2, 3, 2), (np.arange(12) % 4 == 1).astype(np.uint8))
+        llrs = rng.normal(0.5, 2.0, (batch, 12))
+        llrs[rng.random(llrs.shape) < 0.3] = np.inf
+        llrs[rng.random(llrs.shape) < 0.3] = -np.inf
+        llrs = np.asfortranarray(llrs)
+        bound = np.finfo(float).max / (2 * 12)
+        saturated = np.clip(llrs, -bound, bound)
+        got = SCDecoder(spec).decode_batch(llrs)
+        want = SCDecoder(spec).decode_batch(np.ascontiguousarray(saturated))
+        assert np.isinf(llrs).sum() > 0 and np.array_equal(np.clip(llrs, -bound, bound), saturated)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_batch_matches_single(self, rng):
         spec = spec_with_frozen((3, 2, 3), (np.arange(18) % 2 == 0).astype(np.uint8))

@@ -1,6 +1,5 @@
 """The experiment scripts run end to end on a small code."""
 
-import re
 import runpy
 import sys
 from pathlib import Path
@@ -37,5 +36,7 @@ def test_output_digest_quick_prints_both_digests(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["output_digest.py", "--quick"])
     runpy.run_path(str(SCRIPTS / "output_digest.py"), run_name="__main__")
     decode, sim = capsys.readouterr().out.splitlines()
-    assert re.fullmatch(r"decode 1 codes x 3 decoders x 3 frames sha256 [0-9a-f]{64}", decode)
-    assert re.fullmatch(r"run_fer 1 runs sha256 [0-9a-f]{64}", sim)
+    # Any bit-level change to decoding or to the random stream changes these.
+    assert decode == ("decode 1 codes x 3 decoders x 3 frames sha256 "
+                      "ef72196650285d8487018d430b1b0abac29525dfc12926afcd598c21f3e8503d")
+    assert sim == "run_fer 1 runs sha256 e07025834ace320010a796036473028d4b0161d550cd192985933ff40b4bb2de"
