@@ -29,7 +29,7 @@ from .fast_ssc import (
     decode_spc,
     rep_pattern,
 )
-from .kernels import T2, T3, stage_transform
+from .kernels import stage_transform
 from .sc import (
     SCDecoder,
     f_op,

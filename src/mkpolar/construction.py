@@ -145,6 +145,7 @@ def select_frozen(z, k_bits):
     """
     z = np.asarray(z, dtype=float)
     n = len(z)
+    k_bits = _as_integer("k_bits", k_bits)
     if not 0 <= k_bits <= n:
         raise ValueError(f"k_bits must be in [0, {n}], got {k_bits}")
     if np.isnan(z).any():
@@ -179,6 +180,7 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
 
 def _order_kernels(n_two, n_three, strategy, rate, ebn0_db):
     """(order_kernels' kernel vector, the GA means HIGHEST_RELIABILITY evolved for it, else None)."""
+    n_two, n_three = _as_integer("n_two", n_two), _as_integer("n_three", n_three)
     if n_two < 0 or n_three < 0 or n_two + n_three < 1:
         raise ValueError(f"need at least one kernel, got n_two={n_two}, n_three={n_three}")
     n = 2**n_two * 3**n_three
@@ -224,6 +226,7 @@ class CodeSpec:
         kernels = validate_kernel_vector(kernels)
         frozen = np.zeros(math.prod(kernels), dtype=np.uint8)
         for i in frozen_indices:
+            i = _as_integer("frozen index", i)
             if not 0 <= i < len(frozen):
                 raise ValueError(f"frozen index {i} is outside 0..{len(frozen) - 1}")
             if frozen[i]:
@@ -239,11 +242,12 @@ class CodeSpec:
             raise ValueError(f"N {self.n_bits} != kernel product {n}")
         if not 0 <= self.k_bits <= n:
             raise ValueError(f"K {self.k_bits} is outside 0..{n}")
-        self.frozen = np.asarray(self.frozen, dtype=np.uint8)
-        if self.frozen.shape != (self.n_bits,):
+        frozen = np.asarray(self.frozen)
+        if frozen.shape != (self.n_bits,):
             raise ValueError(f"frozen mask must have length {self.n_bits}")
-        if self.frozen.max() > 1:
+        if not ((frozen == 0) | (frozen == 1)).all():  # before a cast could truncate 0.5 to 0
             raise ValueError("frozen mask entries must be 0 or 1")
+        self.frozen = frozen.astype(np.uint8, copy=False)
         if int(self.frozen.sum()) != self.n_bits - self.k_bits:
             raise ValueError(
                 f"frozen mask weight {int(self.frozen.sum())} != N - K = {self.n_bits - self.k_bits}"

@@ -9,8 +9,8 @@ specialized step instead of being traversed:
   REP     only the last bit unfrozen      -> repetition over pattern P_v
 
 Ternary kernels leave the repeated bit in only part of the codeword, so REP
-nodes carry a mask P_v (Kronecker product of the kernels' last rows) and
-decode by one pattern sum, alpha @ P_v. REP2 nodes are all-binary, REP3A
+nodes carry a mask P_v (kernels.rep_pattern, the codeword of (0, ..., 0, 1))
+and decode by one pattern sum, alpha @ P_v. REP2 nodes are all-binary, REP3A
 all-ternary, REP3B/REP3C have their ternary stages first/last; the classes
 differ only in which nodes are recognized (and counted in Table 2).
 
@@ -18,23 +18,22 @@ FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
 schedule's multi-bit leaves replace the subtrees they prune, each writing
 its codeword and sourceword bits into the slices the walk hands it. Rate-1
 and SPC leaves take their hard decisions as a uint8 view of the comparison
-and recover their sourceword bits by one inverse stage transform each, whose
-plan kernels.stage_transform builds once per sub-kernel vector and caches,
-so a single-frame leaf costs a few numpy calls and no validation.
-They decide a tied (zero) LLR on the codeword bit, where SC decides the
-sourceword bit, so without SPC the decoder is bit-exact to SC for tie-free
-LLRs only; on ties both return valid codewords. The leaf decoders, like the
-LLR steps, compute in float32 for float32 LLRs and in float64 otherwise.
+and recover their sourceword bits by one inverse stage transform each. They
+decide a tied (zero) LLR on the codeword bit, where SC decides the sourceword
+bit, so without SPC the decoder is bit-exact to SC for tie-free LLRs only; on
+ties both return valid codewords. The leaf decoders, like the LLR steps,
+compute in float32 for float32 LLRs and in float64 otherwise.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .kernels import KERNELS, stage_transform, validate_kernel_vector
+from .kernels import _as_integer, rep_pattern, stage_transform, validate_kernel_vector
 # The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
 from .sc import _llr_dtype, _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
@@ -71,19 +70,15 @@ class NodeLimits:
     general_rep: bool = False
 
     def __post_init__(self):
-        if self.rep3a_max_span not in (3, 9, 27):
-            raise ValueError(f"rep3a_max_span must be 3, 9 or 27, got {self.rep3a_max_span}")
-
-
-def rep_pattern(kv_sub):
-    """Repetition pattern P_v: Kronecker product of the kernels' last rows in kv order.
-
-    Equals the last generator row, i.e. the codeword of (0, ..., 0, 1).
-    """
-    pat = np.ones(1, dtype=np.uint8)
-    for k in validate_kernel_vector(kv_sub):
-        pat = np.multiply.outer(pat, KERNELS[k][-1]).ravel()
-    return pat
+        for name in ("spc", "general_rep"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        span = _as_integer("rep3a_max_span", self.rep3a_max_span)
+        if span not in (3, 9, 27):
+            raise ValueError(f"rep3a_max_span must be 3, 9 or 27, got {span}")
+        object.__setattr__(self, "rep3a_max_span", span)
 
 
 def _classify(n_frozen, first_frozen, last_frozen, span, kv_sub, limits):
@@ -174,8 +169,8 @@ def build_schedule(spec, limits=None):
     leaves are emitted as Rate0/Rate1. Each node is classified by
     classify_node's rule in O(1) Python work, from one prefix count of the
     frozen mask and the node's first and last frozen bit. REP nodes of one
-    depth share one read-only pattern, and the schedule keeps no reference to
-    the spec.
+    sub-kernel vector share one read-only pattern (_shared_pattern); the
+    schedule keeps no reference to the spec.
     """
     root = _ScheduleBuilder(spec, limits or NodeLimits()).node(0, 0, spec.n_bits)
     return PrunedSchedule(root=root, kernels=spec.kernels)
@@ -193,7 +188,6 @@ class _ScheduleBuilder:
         self.frozen = spec.frozen.tolist()
         self.before = [0, *itertools.accumulate(self.frozen)]  # frozen bits before each index
         self.limits = limits
-        self.patterns = {}
 
     def node(self, depth, offset, span):
         frozen, end = self.frozen, offset + span
@@ -201,18 +195,19 @@ class _ScheduleBuilder:
         cls = _classify(self.before[end] - self.before[offset], frozen[offset], frozen[end - 1],
                         span, kv_sub, self.limits)
         if cls is not NodeClass.GENERIC:
-            pattern = self.pattern(depth) if cls in REP_CLASSES else None
+            pattern = _shared_pattern(kv_sub) if cls in REP_CLASSES else None
             return ScheduleNode(cls, depth, offset, span, kv_sub, pattern)
         q = span // self.kv[depth]
         children = tuple(self.node(depth + 1, j, q) for j in range(offset, end, q))
         return ScheduleNode(cls, depth, offset, span, kv_sub, None, children)
 
-    def pattern(self, depth):
-        pattern = self.patterns.get(depth)
-        if pattern is None:
-            pattern = self.patterns[depth] = rep_pattern(self.kv[depth:])
-            pattern.flags.writeable = False
-        return pattern
+
+@lru_cache(maxsize=1024)  # sub-kernel vectors are few; the bound caps a process that uses many
+def _shared_pattern(kv_sub):
+    """rep_pattern(kv_sub), read-only: the one array every REP node of kv_sub holds."""
+    pattern = rep_pattern(kv_sub)
+    pattern.flags.writeable = False
+    return pattern
 
 
 def decode_rate1(alpha, kv_sub):

@@ -3,28 +3,20 @@
 The generator of a multi-kernel polar code is the left-to-right Kronecker
 product of 2x2 and 3x3 polarizing kernels, described by a kernel vector such
 as (2, 2, 3). Arithmetic is mod 2 on uint8 arrays with entries in {0, 1}.
-
-The encoder, the decode tree's partial sums (apply_kernel) and the leaf
-inverses all run the kernels as in-place row XORs (KERNEL_STEPS), stage by
-stage. stage_transform keeps one immutable plan per kernel vector and
-direction, so a call validates nothing it has seen before.
+KERNEL_STEPS states each kernel once. The encoder, the decode tree's partial-sum
+combines and the leaf inverses all run it in the one loop of _run_stages, from
+stages cached per kernel vector and direction.
 """
 
 import operator
 from functools import lru_cache
 from math import prod
-from typing import NamedTuple
 
 import numpy as np
 
-# Arikan kernel and the ternary kernel.
-T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-
-KERNELS = {2: T2, 3: T3}
-
-# T_k as row operations: a step (a, b) is row a ^= row b. Each step is its own
-# inverse, so running the steps in reverse multiplies by T_k^-1.
+# T_k as row operations: a step (a, b) is row a ^= row b. T_2 = [[1, 0], [1, 1]]
+# and T_3 = [[1, 1, 1], [1, 0, 1], [0, 1, 1]]. Each step is its own inverse,
+# so running the steps in reverse multiplies by T_k^-1.
 KERNEL_STEPS = {2: ((0, 1),), 3: ((0, 1), (2, 0), (1, 2))}
 
 # Longest supported N (28x the paper's largest); GA and the decoders size arrays by N.
@@ -89,81 +81,63 @@ def _factor(n):
     return a, b, n
 
 
-def apply_kernel(v, k):
-    """Multiply axis -2 of v (length k) by T_k in place over GF(2)."""
-    for a, b in KERNEL_STEPS[k]:
-        row = v[..., a, :]
-        row ^= v[..., b, :]
-
-
-class _StagePlan(NamedTuple):
-    """What stage_transform runs for one kernel vector in one direction.
-
-    `batch` (frames-last input of any width) and `single` (one frame) hold,
-    per kernel in kv order, (shape, steps): the stage is ``v[a] ^= v[b]`` for
-    each step (a, b) on ``v = x.reshape(shape)``, the view whose axis of
-    length k holds the kernel's rows in every block. Steps are T_k's row XORs,
-    reversed for the inverse.
-    """
-
-    n: int
-    batch: tuple
-    single: tuple
-
-
-def _stage_views(kv, inverse, single):
+# Distinct kernel vectors are few (a code's suffixes); the bound only caps a
+# process that transforms many codes. Typed on each kernel size, so a 2.0 is
+# validated (and rejected) instead of finding the stages of a 2.
+@lru_cache(maxsize=1024, typed=True)
+def _stages(inverse, *kv):
+    """Per kernel of kv, (shape, steps) of its stage, steps reversed for the inverse:
+    ``v[a] ^= v[b]`` per step on ``v = x.reshape(shape + tail)``, whose axis of length k
+    holds the kernel's rows in every block. Axes of length 1 are dropped, as numpy XORs
+    a 1-D view or a scalar several times faster; the first stage's shape spans the frame."""
+    kv = validate_kernel_vector(kv)
     n = prod(kv)
     stages = []
     for depth, k in enumerate(kv):
         blocks = prod(kv[:depth])
         rest = n // (blocks * k)
-        # Axes of length 1 are dropped: numpy XORs a 1-D view, or a scalar
-        # of a one-frame, one-block stage, several times faster than a 2-D
-        # view with an axis of length 1.
-        shape = (blocks,) * (blocks > 1) + (k,) + (((rest,) * (rest > 1)) if single else (-1,))
+        shape = (blocks,) * (blocks > 1) + (k,) + (rest,) * (rest > 1)
         lead = (slice(None),) * (blocks > 1)
         steps = KERNEL_STEPS[k][::-1] if inverse else KERNEL_STEPS[k]
         stages.append((shape, tuple((lead + (a,), lead + (b,)) for a, b in steps)))
     return tuple(stages)
 
 
-# Distinct kernel vectors are few (a code's suffixes); the bound only caps a
-# process that transforms many codes. Typed on each kernel size, so a 2.0 is
-# validated (and rejected) instead of finding the plan of a 2.
-@lru_cache(maxsize=1024, typed=True)
-def _stage_plan(inverse, *kv):
-    kv = validate_kernel_vector(kv)
-    return _StagePlan(prod(kv), _stage_views(kv, inverse, False), _stage_views(kv, inverse, True))
+def _run_stages(x, stages, tail):
+    """Run _stages' stages in place on x and return it: one frame for a tail of (), else
+    frames-last with its frame axes as the tail. Every kernel XOR runs here. x must be
+    C-contiguous, so each reshape is a view (copy=False, which checks it, costs 2.5x as much)."""
+    for shape, steps in stages:
+        v = x.reshape(shape + tail)
+        for a, b in steps:
+            v[a] ^= v[b]
+    return x
 
 
 def stage_transform(bits, kv, inverse=False):
-    """Apply the per-stage blockwise kernel maps of the decode tree.
+    """Multiply by the generator, the Kronecker product of the kernels in kv order (by its
+    inverse when ``inverse`` is set), in O(N log N) in-place row XORs, stage by stage.
 
-    Multiplies by the generator, the Kronecker product of the kernels in kv
-    order (by its inverse when ``inverse`` is set), in O(N log N) in-place
-    row XORs. Accepts a trailing axis of length N; leading axes are
-    treated as a batch. The XORs run on one frames-last (N, batch) copy, each
-    a contiguous run; the result keeps the input's memory order. A single
-    frame, 1-D or with every leading axis of length 1, is transformed in its
-    own C-ordered copy, which is returned. The plan of each (kv, inverse) is
-    built and validated once, then cached.
+    Accepts a trailing axis of length N; leading axes are a batch, whose XORs run on one
+    frames-last (N, batch) copy, each a contiguous run; the result keeps the input's
+    memory order. A single frame, 1-D or with every leading axis of length 1, is
+    transformed in its own C-ordered copy, which is returned.
     """
-    plan = _stage_plan(inverse, *kv)
+    stages = _stages(inverse, *kv)
     bits = np.asarray(bits)
-    n = plan.n
+    n = prod(stages[0][0])
     if bits.shape[-1:] != (n,):
         raise ValueError(f"input shape {bits.shape} does not end in the code length {n}")
     if bits.size == n:
-        out = x = np.array(bits, dtype=np.uint8, order="C")
-        stages = plan.single
-    else:
-        x = np.array(bits.T, dtype=np.uint8, order="C")
-        out, stages = None, plan.batch
-    for shape, steps in stages:
-        v = x.reshape(shape)
-        for a, b in steps:
-            v[a] ^= v[b]
-    if out is None:
-        out = np.empty_like(bits, dtype=np.uint8)
-        out.T[...] = x
+        return _run_stages(np.array(bits, dtype=np.uint8, order="C"), stages, ())
+    x = _run_stages(np.array(bits.T, dtype=np.uint8, order="C"), stages, bits.T.shape[1:])
+    out = np.empty_like(bits, dtype=np.uint8)
+    out.T[...] = x
     return out
+
+
+def rep_pattern(kv):
+    """Repetition pattern P_v of a REP node with kernels kv: the codeword of (0, ..., 0, 1)."""
+    unit = np.zeros(prod(validate_kernel_vector(kv)), dtype=np.uint8)
+    unit[-1] = 1
+    return stage_transform(unit, kv)

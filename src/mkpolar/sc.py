@@ -5,7 +5,7 @@ the vector governs the root split, a node at depth d branches by the (d+1)-th
 kernel, and leaves are single sourceword bits. Binary nodes apply the f and g
 LLR maps to their left and right children; ternary nodes apply lambda0/1/2 to
 left, center and right. Partial sums travel back up through the node's kernel
-(kernels.apply_kernel). LLR sign convention: positive means bit 0; an LLR of
+(kernels._run_stages). LLR sign convention: positive means bit 0; an LLR of
 exactly zero decides 1 on an unfrozen bit. Fast-SSC without SPC is bit-exact
 to SC for tie-free LLRs only (see fast_ssc.py). The box-plus max(min(a, b),
 -max(a, b)) is exact, so every LLR has the value of its textbook formula; only
@@ -27,7 +27,7 @@ which at that size cost less than numpy's in-place calls.
 
 import numpy as np
 
-from .kernels import apply_kernel
+from .kernels import _run_stages, _stages
 
 
 def f_op(l0, l1, out=None, scratch=None):
@@ -120,6 +120,8 @@ class _TreeDecoder:
     def __init__(self, spec):
         self.spec = spec
         self._leaves = {}
+        kv = spec.kernels  # a depth-d node combines by the first stage of kv[d:]
+        self._combines = [_stages(False, *kv[depth:])[:1] for depth in range(len(kv))]
 
     def decode(self, llr):
         """Decode one frame; returns (u_hat, x_hat) with x_hat the root partial sums.
@@ -195,8 +197,7 @@ class _TreeDecoder:
             self._decode_node(child, x, u, depth + 1, offset + q, slabs)
             child = lambda2(l1, l2, beta[:q], beta[q : 2 * q], out, scratch)
             self._decode_node(child, x, u, depth + 1, offset + 2 * q, slabs)
-        # copy=False raises rather than combine a copy and leave x unchanged.
-        apply_kernel(beta.reshape(k, -1, copy=False), k)
+        _run_stages(beta, self._combines[depth], beta.shape[1:])
 
 
 class SCDecoder(_TreeDecoder):

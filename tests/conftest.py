@@ -10,7 +10,7 @@ from mkpolar.channel import BLOCK_FRAMES, awgn_llr, modulate
 from mkpolar.construction import CodeSpec, design_code, ebn0_db_to_linear
 from mkpolar.encoding import expand_message
 from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits
-from mkpolar.kernels import KERNELS, stage_transform
+from mkpolar.kernels import stage_transform
 from mkpolar.sc import SCDecoder
 
 # The three decoder configurations whose outputs the equivalence tests compare.
@@ -40,11 +40,16 @@ def kernel_vectors(max_n, min_n=2):
     return [kv for kv in found if kv]
 
 
-# Dense GF(2) generators, the oracle for kernels.stage_transform: the inverse
-# of a Kronecker product is the Kronecker product of the kernels' inverses,
-# taken in the same order. T2 is its own inverse; T3 @ T3_INV = I (mod 2).
+# Dense GF(2) generators, the oracle for kernels.stage_transform: the Arikan
+# kernel T2 and the ternary kernel T3 written out, independent of the row XORs
+# the package runs. The inverse of a Kronecker product is the Kronecker product
+# of the kernels' inverses, taken in the same order. T2 is its own inverse;
+# T3 @ T3_INV = I (mod 2).
+T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 T3_INV = np.array([[1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
-KERNEL_INVERSES = {2: KERNELS[2], 3: T3_INV}
+KERNELS = {2: T2, 3: T3}
+KERNEL_INVERSES = {2: T2, 3: T3_INV}
 
 
 def generator_matrix(kv):

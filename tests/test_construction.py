@@ -195,6 +195,14 @@ class TestSelectFrozen:
         with pytest.raises(ValueError, match="must not be NaN"):
             select_frozen([1.0, float("nan"), 0.5], 1)
 
+    @pytest.mark.parametrize("k_bits", [1.5, 2.0, True, "2"], ids=repr)
+    def test_k_bits_must_be_an_integer(self, k_bits):
+        # True would freeze 3 of 4 indices as a K of 1.
+        with pytest.raises(ValueError, match=re.escape(f"k_bits {k_bits!r} is not an integer")) as info:
+            select_frozen([4.0, 1.0, 9.0, 2.5], k_bits)
+        assert "\n" not in str(info.value)
+        assert select_frozen([4.0, 1.0, 9.0, 2.5], np.int64(3)).tolist() == [0, 1, 0, 0]
+
 
 class TestOrderKernels:
     def test_last(self):
@@ -245,6 +253,23 @@ class TestOrderKernels:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             order_kernels(0, 0, OrderingStrategy.LAST)
+
+    @pytest.mark.parametrize(
+        "args,complaint",
+        [
+            ((2.5, 1, OrderingStrategy.FIRST), "n_two 2.5 is not an integer"),
+            ((2.0, 1, OrderingStrategy.FIRST), "n_two 2.0 is not an integer"),
+            ((True, 1, OrderingStrategy.LAST), "n_two True is not an integer"),
+            ((1, 1.0, OrderingStrategy.HIGHEST_RELIABILITY), "n_three 1.0 is not an integer"),
+            ((1, False, OrderingStrategy.LAST), "n_three False is not an integer"),
+        ],
+        ids=("fractional_two", "float_two", "bool_two", "float_three", "bool_three"),
+    )
+    def test_counts_must_be_integers(self, args, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            order_kernels(*args)
+        assert "\n" not in str(info.value)
+        assert order_kernels(np.int64(1), np.uint8(1), OrderingStrategy.LAST) == (2, 3)
 
 
 class TestCodeSpec:
@@ -299,9 +324,11 @@ class TestCodeSpec:
             ((4, 3, (2, 2), [0, 1]), "frozen mask weight 2 != N - K = 1"),
             ((6, 3, (2, 5), [0, 1, 2]), "unsupported kernel sizes [5]"),
             ((1, 1, (), []), "kernel vector must be nonempty"),
+            ((6, 3, (2, 3), [0, 1, 2.5]), "frozen index 2.5 is not an integer"),
+            ((6, 3, (2, 3), [True, 2, 3]), "frozen index True is not an integer"),
         ],
         ids=("index_above", "index_negative", "index_twice", "n", "k_above", "k_negative",
-             "weight", "kernel", "no_kernels"),
+             "weight", "kernel", "no_kernels", "index_fractional", "index_bool"),
     )
     def test_from_frozen_indices_messages(self, args, complaint):
         with pytest.raises(ValueError, match=re.escape(complaint)) as info:
@@ -348,9 +375,11 @@ class TestCodeSpec:
             assert spec.frozen.dtype == np.uint8 and np.array_equal(spec.frozen, expected.frozen)
             assert (spec.ga_means is expected.ga_means is None) or np.array_equal(spec.ga_means, expected.ga_means)
 
-    @pytest.mark.parametrize("mask", ([2, 0, 0, 0, 0, 1], np.array([-1, 1, 1, 0, 0, 0])))
+    @pytest.mark.parametrize(
+        "mask", ([2, 0, 0, 0, 0, 1], np.array([-1, 1, 1, 0, 0, 0]), [1, 1, 1, 0.5, 0.5, 0])
+    )
     def test_mask_entries_must_be_binary(self, mask):
-        # -1 is cast to 255 on the way to uint8 and caught there.
+        # Checked before the cast to uint8, which would make -1 a 255 and 0.5 a 0.
         with pytest.raises(ValueError, match="frozen mask entries must be 0 or 1"):
             CodeSpec(6, 3, (2, 3), mask)
 

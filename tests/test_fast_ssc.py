@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkpolar import fast_ssc
 from mkpolar.analysis import TABLE2_LENGTHS, TABLE2_RATES
 from mkpolar.construction import OrderingStrategy, construct_code, design_code
 from mkpolar.encoding import expand_message
@@ -130,6 +132,31 @@ class TestClassifyNode:
 
     def test_mid_rate_generic(self):
         assert classify_node(np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8), (2, 3)) is NodeClass.GENERIC
+
+
+class TestNodeLimits:
+    @pytest.mark.parametrize(
+        "kwargs,complaint",
+        [
+            ({"spc": "False"}, "spc must be a bool, got 'False'"),
+            ({"spc": 0}, "spc must be a bool, got 0"),
+            ({"general_rep": None}, "general_rep must be a bool, got None"),
+            ({"rep3a_max_span": 27.0}, "rep3a_max_span 27.0 is not an integer"),
+            ({"rep3a_max_span": True}, "rep3a_max_span True is not an integer"),
+            ({"rep3a_max_span": 81}, "rep3a_max_span must be 3, 9 or 27, got 81"),
+        ],
+        ids=("spc_str", "spc_int", "general_rep_none", "span_float", "span_bool", "span_81"),
+    )
+    def test_rejects_field_of_wrong_type(self, kwargs, complaint):
+        # A truthy "False" would turn SPC on, and a float span would be stored as given.
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            NodeLimits(**kwargs)
+        assert "\n" not in str(info.value)
+
+    def test_numpy_values_are_stored_as_python_types(self):
+        limits = NodeLimits(rep3a_max_span=np.int64(9), spc=np.False_, general_rep=np.True_)
+        assert limits == NodeLimits(rep3a_max_span=9, spc=False, general_rep=True)
+        assert [type(v) for v in (limits.rep3a_max_span, limits.spc, limits.general_rep)] == [int, bool, bool]
 
 
 class TestBuildSchedule:
@@ -431,6 +458,35 @@ class TestFastDecoder:
         u_sc, _ = SCDecoder(spec).decode_batch(llr)
         u_f, _ = FastSSCDecoder(spec, limits=NodeLimits(spc=False)).decode_batch(llr)
         assert np.array_equal(u_f, u_sc)
+
+
+@pytest.mark.parametrize(
+    "code", [(432, 216, "last", 3.0), (2304, 1152, "first", 2.0)], ids=("n432_last", "n2304_first")
+)
+def test_leaf_inverses_are_one_per_rate1_or_spc_leaf(code, monkeypatch, rng):
+    # The single-frame decode code and the long simulation code of the benchmark.
+    # Building a decoder makes no inverse stage transform; a decode makes one per
+    # multi-bit Rate-1 leaf and one per SPC leaf, at one frame and on a batch.
+    spec = construct_code(*code)
+    calls = []
+    transform = fast_ssc.stage_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(fast_ssc, "stage_transform", counted)
+    decoder = FastSSCDecoder(spec)
+    assert calls == []
+    leaves = [n.kv_sub for n in decoder.schedule.leaves()
+              if n.span > 1 and n.node_class in (NodeClass.RATE1, NodeClass.SPC)]
+    assert leaves
+    _, llr = _random_noisy_frames(spec, 3, rng)
+    decoder.decode(llr[0])
+    assert sorted(calls) == sorted(leaves)
+    calls.clear()
+    decoder.decode_batch(llr)
+    assert sorted(calls) == sorted(leaves)
 
 
 @given(arbitrary_specs(), st.integers(0, 2**31 - 1))

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from mkpolar.construction import CodeSpec, design_code
 from mkpolar.kernels import (
-    T2,
-    T3,
     factor_length,
     nearest_valid_lengths,
     stage_transform,
@@ -14,6 +12,8 @@ from mkpolar.kernels import (
 )
 
 from conftest import (
+    T2,
+    T3,
     T3_INV,
     generator_matrix,
     gf2_matmul,
