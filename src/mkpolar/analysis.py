@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 from .construction import DEFAULT_DESIGN_EBN0_DB, construct_code
 from .fast_ssc import NodeClass, build_schedule
-from .kernels import MAX_CODE_LENGTH, nearest_valid_lengths, validate_kernel_vector
+from .kernels import MAX_CODE_LENGTH, _as_integer, nearest_valid_lengths, validate_kernel_vector
 
 TABLE2_LENGTHS = (96, 432, 768, 2304)
 TABLE2_RATES = (0.25, 0.5, 0.75)
@@ -122,10 +122,8 @@ def sweep_fixed_k(k_bits=164, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB,
     For each target rate the nearest supported length above K is used; the
     emitted R is the realized k/N.
     """
-    if k_bits < 1:
-        raise ValueError(f"K must be at least 1, got {k_bits}")
-    if k_bits >= MAX_CODE_LENGTH:  # no code fits; for a huge K the search below never ends
-        raise ValueError(f"K {k_bits} needs a code length above the maximum of {MAX_CODE_LENGTH}")
+    # above this K no code fits, and for a huge K the search below would never end
+    k_bits = _as_integer("K", k_bits, 1, MAX_CODE_LENGTH - 1)
     rows = []
     for rate in rates:
         target = max(int(round(k_bits / rate)), k_bits + 1)

@@ -13,7 +13,6 @@ The draws and the channel LLRs are float64; the LLRs are saturated to
 float32's range and rounded once, and the decoders decode them in float32.
 """
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -23,7 +22,7 @@ import numpy as np
 from .construction import design_code, ebn0_db_to_linear
 from .encoding import expand_message
 from .fast_ssc import FastSSCDecoder
-from .kernels import MAX_CODE_LENGTH, stage_transform
+from .kernels import MAX_CODE_LENGTH, _as_integer, stage_transform
 from .sc import SCDecoder
 
 DECODER_KINDS = ("sc", "fastssc")
@@ -44,14 +43,6 @@ MAX_BATCH_LLRS = 1024 * MAX_CODE_LENGTH
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-def _check_count(name, value, high=None, where=""):
-    """Raise ValueError unless value is an integer (not a bool) from 1 to high."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1
-            or high is not None and value > high):
-        bound = "at least 1" if high is None else f"at least 1 and at most {high}{where}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class StopRule:
     """Stop a point once min_frame_errors are collected or max_frames simulated."""
@@ -60,8 +51,8 @@ class StopRule:
     min_frame_errors: int = 100
 
     def __post_init__(self):
-        _check_count("max_frames", self.max_frames)
-        _check_count("min_frame_errors", self.min_frame_errors)
+        _as_integer("max_frames", self.max_frames, 1)
+        _as_integer("min_frame_errors", self.min_frame_errors, 1)
 
     def reached(self, point):
         return point.frames >= self.max_frames or point.frame_errors >= self.min_frame_errors
@@ -169,19 +160,21 @@ def run_fer(
     index). The LLRs are computed in float64 and decoded in float32.
     Results are reproducible for a given (seed, spec, snrs, stop),
     independent of workers and batch_size. Raises ValueError for a degenerate
-    code, a decoder not in DECODER_KINDS, a seed other than a non-negative
-    integer (not a bool), workers other than an integer in
-    1..MAX_WORKERS, batch_size other than an integer in 1..MAX_BATCH_LLRS // N,
-    or an Eb/N0 out of range.
+    code, a decoder not in DECODER_KINDS, a stop not a StopRule, snrs not a
+    sequence, an Eb/N0 not real or out of range, a seed not an integer >= 0,
+    workers not in 1..MAX_WORKERS or batch_size not in 1..MAX_BATCH_LLRS // N.
     """
     if not 0 < spec.k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")
     if decoder not in DECODER_KINDS:
         raise ValueError(f"unknown decoder kind {decoder!r}; expected one of {DECODER_KINDS}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_count("workers", workers, MAX_WORKERS)
-    _check_count("batch_size", batch_size, MAX_BATCH_LLRS // spec.n_bits, f" at N={spec.n_bits}")
+    if not isinstance(stop, StopRule):
+        raise ValueError(f"stop must be a StopRule, got {stop!r}")
+    seed = _as_integer("seed", seed, 0)
+    workers = _as_integer("workers", workers, 1, MAX_WORKERS)
+    batch_size = _as_integer("batch_size", batch_size, 1, MAX_BATCH_LLRS // spec.n_bits)
+    if not np.iterable(snrs):
+        raise ValueError(f"snrs must be a sequence of Eb/N0 values in dB, got {snrs!r}")
     channels = [(ebn0_db, noise_variance(ebn0_db, spec.rate)) for ebn0_db in snrs]
     stats = SimStats(n_bits=spec.n_bits, k_bits=spec.k_bits, decoder=decoder, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import MAX_CODE_LENGTH, _as_integer, factor_length, validate_kernel_vector
+from .kernels import MAX_CODE_LENGTH, _as_bits, _as_integer, factor_length, validate_kernel_vector
 
 _ALPHA = -0.4527
 _BETA = 0.0218
@@ -77,15 +77,17 @@ def _ga_stage(z, k):
 def ebn0_db_to_linear(ebn0_db, rate):
     """Linear Eb/N0 at code rate `rate`; the one conversion, shared by GA and the channel.
 
-    Raises ValueError unless 0 < rate < 1 and both 4*R*Eb/N0 (the GA's initial
-    mean and the channel's LLR scale 2/sigma^2) and its inverse are finite and positive.
+    Raises ValueError unless 0 < rate < 1 and ebn0_db is a real number for which 4*R*Eb/N0
+    (the GA's initial mean and the channel's LLR scale 2/sigma^2) and its inverse are finite and positive.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
     try:
-        ebn0 = 10.0 ** (ebn0_db / 10.0)
+        ebn0 = 10.0 ** float(ebn0_db / 10.0)
     except OverflowError:
         ebn0 = math.inf
+    except TypeError:
+        raise ValueError(f"Eb/N0 {ebn0_db!r} is not a real number") from None
     scale = 4.0 * rate * ebn0
     if not (0.0 < scale < math.inf and 2.0 / scale < math.inf):
         raise ValueError(f"Eb/N0 {ebn0_db} dB is out of range: 4*R*Eb/N0 = {scale:g} at R = {rate:g}")
@@ -144,10 +146,10 @@ def select_frozen(z, k_bits):
     Ties in the means freeze the lower index, so the mask is deterministic.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"reliabilities must be 1-D, got shape {z.shape}")
     n = len(z)
-    k_bits = _as_integer("k_bits", k_bits)
-    if not 0 <= k_bits <= n:
-        raise ValueError(f"k_bits must be in [0, {n}], got {k_bits}")
+    k_bits = _as_integer("k_bits", k_bits, 0, n)
     if np.isnan(z).any():
         raise ValueError("reliabilities must not be NaN")
     order = np.argsort(z, kind="stable")
@@ -180,19 +182,17 @@ def order_kernels(n_two, n_three, strategy, rate=0.5, ebn0_db=DEFAULT_DESIGN_EBN
 
 def _order_kernels(n_two, n_three, strategy, rate, ebn0_db):
     """(order_kernels' kernel vector, the GA means HIGHEST_RELIABILITY evolved for it, else None)."""
-    n_two, n_three = _as_integer("n_two", n_two), _as_integer("n_three", n_three)
-    if n_two < 0 or n_three < 0 or n_two + n_three < 1:
-        raise ValueError(f"need at least one kernel, got n_two={n_two}, n_three={n_three}")
-    n = 2**n_two * 3**n_three
-    if n > MAX_CODE_LENGTH:  # before any GA stage runs
-        raise ValueError(f"code length {n} is above the maximum of {MAX_CODE_LENGTH}")
+    stages = MAX_CODE_LENGTH.bit_length() - 1  # of the longest code; bounds each count
+    n_two, n_three = _as_integer("n_two", n_two, 0, stages), _as_integer("n_three", n_three, 0, stages)
+    first = validate_kernel_vector((3,) * n_three + (2,) * n_two)  # before any GA stage runs
     if strategy == OrderingStrategy.FIRST:
-        return (3,) * n_three + (2,) * n_two, None
+        return first, None
     if strategy == OrderingStrategy.LAST:
-        return (2,) * n_two + (3,) * n_three, None
+        return first[::-1], None
     if strategy != OrderingStrategy.HIGHEST_RELIABILITY:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
 
+    n = math.prod(first)
     k_bits = round(rate * n)
     best, best_score = None, -math.inf
     for kv, z in _evolve_arrangements(n_two, n_three, rate, ebn0_db):
@@ -226,27 +226,22 @@ class CodeSpec:
         kernels = validate_kernel_vector(kernels)
         frozen = np.zeros(math.prod(kernels), dtype=np.uint8)
         for i in frozen_indices:
-            i = _as_integer("frozen index", i)
-            if not 0 <= i < len(frozen):
-                raise ValueError(f"frozen index {i} is outside 0..{len(frozen) - 1}")
+            i = _as_integer("frozen index", i, 0, len(frozen) - 1)
             if frozen[i]:
                 raise ValueError(f"frozen index {i} is listed twice")
             frozen[i] = 1
         return cls(n_bits, k_bits, kernels, frozen)
 
     def __post_init__(self):
-        self.n_bits, self.k_bits = _as_integer("N", self.n_bits), _as_integer("K", self.k_bits)
         self.kernels = validate_kernel_vector(self.kernels)
         n = math.prod(self.kernels)
+        self.n_bits = _as_integer("N", self.n_bits)
         if self.n_bits != n:
             raise ValueError(f"N {self.n_bits} != kernel product {n}")
-        if not 0 <= self.k_bits <= n:
-            raise ValueError(f"K {self.k_bits} is outside 0..{n}")
-        frozen = np.asarray(self.frozen)
-        if frozen.shape != (self.n_bits,):
-            raise ValueError(f"frozen mask must have length {self.n_bits}")
-        if not ((frozen == 0) | (frozen == 1)).all():  # before a cast could truncate 0.5 to 0
-            raise ValueError("frozen mask entries must be 0 or 1")
+        self.k_bits = _as_integer("K", self.k_bits, 0, n)
+        frozen = _as_bits("frozen mask", self.frozen)  # before a cast could make -1 a 255, 0.5 a 0
+        if frozen.shape != (n,):
+            raise ValueError(f"frozen mask must have length {n}")
         self.frozen = frozen.astype(np.uint8, copy=False)
         if int(self.frozen.sum()) != self.n_bits - self.k_bits:
             raise ValueError(
@@ -274,9 +269,9 @@ def design_code(kernels, k_bits, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
 def _design(kernels, k_bits, ebn0_db, z=None):
     """design_code's CodeSpec, running GA unless the kernels' means z are given;
     its ga_means are None for a K of 0 or N."""
-    k_bits = _as_integer("K", k_bits)
     kernels = validate_kernel_vector(kernels)
     n = math.prod(kernels)
+    k_bits = _as_integer("K", k_bits, 0, n)
     if 0 < k_bits < n:
         if z is None:
             z = ga_reliabilities(kernels, k_bits / n, ebn0_db)
@@ -293,8 +288,9 @@ def _design(kernels, k_bits, ebn0_db, z=None):
 def construct_code(n_bits, k_bits, ordering=OrderingStrategy.LAST, ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     """Factor n_bits, order the kernels, and design the frozen set; a
     highest-reliability code reuses its ordering's GA means (see module docstring)."""
-    n_bits, k_bits = _as_integer("N", n_bits), _as_integer("K", k_bits)
     n_two, n_three = factor_length(n_bits)
+    n_bits = 2**n_two * 3**n_three
+    k_bits = _as_integer("K", k_bits, 0, n_bits)
     rate = k_bits / n_bits if 0 < k_bits < n_bits else 0.5
     kv, z = _order_kernels(n_two, n_three, ordering, rate, ebn0_db)
     return _design(kv, k_bits, ebn0_db, z)

@@ -6,7 +6,7 @@ tests check it against the dense GF(2) product u . G.
 
 import numpy as np
 
-from .kernels import stage_transform
+from .kernels import _as_bits, stage_transform
 
 
 def expand_message(a, spec):
@@ -16,13 +16,9 @@ def expand_message(a, spec):
     trailing axis and returns the sourcewords in the memory order of the
     input; raises ValueError on any entry other than 0 or 1.
     """
-    a = np.asarray(a)
+    a = _as_bits("message", a)
     if a.shape[-1] != spec.k_bits:
         raise ValueError(f"message length {a.shape[-1]} != K = {spec.k_bits}")
-    bad = (a != 0) & (a != 1)
-    if bad.any():
-        position = np.argwhere(bad)[0].tolist()
-        raise ValueError(f"message entry {position} is {a[tuple(position)]}, not 0 or 1")
     u = np.zeros_like(a, dtype=np.uint8, shape=a.shape[:-1] + (spec.n_bits,))
     u[..., spec.info_indices] = a
     return u

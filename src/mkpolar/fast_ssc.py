@@ -33,7 +33,7 @@ from math import prod
 
 import numpy as np
 
-from .kernels import _as_integer, rep_pattern, stage_transform, validate_kernel_vector
+from .kernels import _as_bits, _as_integer, rep_pattern, stage_transform, validate_kernel_vector
 # The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
 from .sc import _llr_dtype, _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
@@ -75,10 +75,17 @@ class NodeLimits:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {value!r}")
             object.__setattr__(self, name, bool(value))
-        span = _as_integer("rep3a_max_span", self.rep3a_max_span)
+        span = _as_integer("rep3a_max_span", self.rep3a_max_span, 3, 27)
         if span not in (3, 9, 27):
             raise ValueError(f"rep3a_max_span must be 3, 9 or 27, got {span}")
         object.__setattr__(self, "rep3a_max_span", span)
+
+
+def _resolve_limits(limits):
+    """limits, or NodeLimits() for None; anything else raises a one-line ValueError."""
+    if not isinstance(limits, (NodeLimits, type(None))):
+        raise ValueError(f"limits must be a NodeLimits, got {limits!r}")
+    return limits or NodeLimits()
 
 
 def _classify(n_frozen, first_frozen, last_frozen, span, kv_sub, limits):
@@ -114,18 +121,16 @@ def _classify(n_frozen, first_frozen, last_frozen, span, kv_sub, limits):
 def classify_node(frozen_span, kv_sub, limits=None):
     """Fast-node class of a subtree from its frozen mask and sub-kernel vector.
 
-    Checks the mask against the kernels, counts its frozen bits and applies
-    the priority rule build_schedule uses: Rate0 > Rate1 > REP > SPC.
+    Checks the mask (0s and 1s only) against the kernels, counts its frozen bits
+    and applies the priority rule build_schedule uses: Rate0 > Rate1 > REP > SPC.
     """
-    mask = np.asarray(frozen_span, dtype=np.uint8)
+    mask = _as_bits("frozen mask", frozen_span)
     kv_sub = validate_kernel_vector(kv_sub)
     span = len(mask)
-    if span < 2:
-        raise ValueError("classify_node requires span >= 2")
-    if span != prod(kv_sub):
-        raise ValueError(f"mask length {span} does not match kernel product")
+    if span != prod(kv_sub):  # at least 2, as kv_sub is nonempty
+        raise ValueError(f"mask length {span} does not match kernel product {prod(kv_sub)}")
     n_frozen = int(np.count_nonzero(mask))
-    return _classify(n_frozen, mask[0] == 1, mask[-1] != 0, span, kv_sub, limits or NodeLimits())
+    return _classify(n_frozen, mask[0] == 1, mask[-1] != 0, span, kv_sub, _resolve_limits(limits))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -172,7 +177,7 @@ def build_schedule(spec, limits=None):
     sub-kernel vector share one read-only pattern (_shared_pattern); the
     schedule keeps no reference to the spec.
     """
-    root = _ScheduleBuilder(spec, limits or NodeLimits()).node(0, 0, spec.n_bits)
+    root = _ScheduleBuilder(spec, _resolve_limits(limits)).node(0, 0, spec.n_bits)
     return PrunedSchedule(root=root, kernels=spec.kernels)
 
 

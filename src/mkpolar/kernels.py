@@ -5,12 +5,13 @@ product of 2x2 and 3x3 polarizing kernels, described by a kernel vector such
 as (2, 2, 3). Arithmetic is mod 2 on uint8 arrays with entries in {0, 1}.
 KERNEL_STEPS states each kernel once. The encoder, the decode tree's partial-sum
 combines and the leaf inverses all run it in the one loop of _run_stages, from
-stages cached per kernel vector and direction.
+stages cached per kernel vector and direction. The one integer rule (_as_integer)
+and the one 0/1 rule (_as_bits) behind every public argument live here too.
 """
 
 import operator
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -23,25 +24,36 @@ KERNEL_STEPS = {2: ((0, 1),), 3: ((0, 1), (2, 0), (1, 2))}
 MAX_CODE_LENGTH = 2**16
 
 
-def _as_integer(name, value):
-    """value by operator.index; a bool, a float (even 2.0) or a str raises a one-line ValueError."""
+def _as_integer(name, value, low=-inf, high=inf):
+    """value by operator.index, in low..high: the one integer rule. A bool, float (even 2.0) or str
+    raises ValueError "NAME VALUE is not an integer", an integer out of bounds "... is outside LOW..HIGH"."""
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        pass
-    raise ValueError(f"{name} {value!r} is not an integer")
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    if not low <= index <= high:
+        raise ValueError(f"{name} {index} is outside {low}..{high}")
+    return index
+
+
+def _as_bits(name, values):
+    """values as an array; an entry other than 0 or 1 raises a one-line ValueError naming it."""
+    values = np.asarray(values)
+    bad = (values != 0) & (values != 1)
+    if bad.any():
+        position = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"{name} entry {position} is {values[tuple(position)]}, not 0 or 1")
+    return values
 
 
 def validate_kernel_vector(kv):
     """Return kv as a tuple of ints: nonempty, each 2 or 3, product at most MAX_CODE_LENGTH.
     Each entry is taken by _as_integer."""
-    kv = tuple([_as_integer("kernel size", k) for k in kv])
+    kv = tuple([_as_integer("kernel size", k, 2, 3) for k in kv])
     if not kv:
         raise ValueError("kernel vector must be nonempty")
-    bad = [k for k in kv if k not in (2, 3)]
-    if bad:
-        raise ValueError(f"unsupported kernel sizes {bad}; only 2 and 3 are allowed")
     if prod(kv) > MAX_CODE_LENGTH:
         raise ValueError(f"code length {prod(kv)} is above the maximum of {MAX_CODE_LENGTH}")
     return kv
@@ -50,11 +62,10 @@ def validate_kernel_vector(kv):
 def factor_length(n):
     """Factor a codeword length into (n_two, n_three) with N = 2**n_two * 3**n_three.
 
-    Raises ValueError when N is outside 2..MAX_CODE_LENGTH and, naming the
-    nearest supported lengths, when N has any other prime factor.
+    Raises ValueError when N is not an integer in 2..MAX_CODE_LENGTH and, naming
+    the nearest supported lengths, when N has any other prime factor.
     """
-    if not 2 <= n <= MAX_CODE_LENGTH:
-        raise ValueError(f"codeword length must be in 2..{MAX_CODE_LENGTH}, got {n}")
+    n = _as_integer("N", n, 2, MAX_CODE_LENGTH)
     n_two, n_three, rest = _factor(n)
     if rest != 1:
         below, above = nearest_valid_lengths(n)

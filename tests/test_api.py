@@ -39,6 +39,24 @@ def used_names(source):
     return used
 
 
+def integer_rule_lines(source):
+    """Lines of a module that import numbers or name operator.index or __index__."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+        else:
+            continue
+        if any(name.split(".")[0] == "numbers" or name == "operator.index" or name.endswith(".__index__")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_readme_has_a_library_example():
     assert any("from mkpolar import" in block for block in readme_examples())
 
@@ -50,3 +68,11 @@ def test_every_public_name_has_a_use_outside_tests():
     sources += readme_examples()
     used = set().union(*map(used_names, sources))
     assert sorted(public_names() - used) == []
+
+
+def test_kernels_as_integer_is_the_only_integer_rule():
+    # A second rule would bring back a second message form for the same mistake.
+    offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "kernels.py" and (lines := integer_rule_lines(path.read_text()))}
+    assert offenders == {}
+    assert integer_rule_lines((PACKAGE / "kernels.py").read_text())

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from mkpolar import channel, fast_ssc
+from mkpolar.analysis import latency_table
 from mkpolar.channel import StopRule, awgn_llr, modulate, noise_variance, run_fer
-from mkpolar.construction import CodeSpec, construct_code, design_code
+from mkpolar.construction import (
+    CodeSpec,
+    OrderingStrategy,
+    construct_code,
+    design_code,
+    order_kernels,
+    select_frozen,
+)
+from mkpolar.fast_ssc import FastSSCDecoder, NodeLimits, build_schedule, classify_node
 from mkpolar.kernels import MAX_CODE_LENGTH
 
 from conftest import frames_first_chunk
@@ -43,8 +52,9 @@ class TestNoiseVariance:
             raise AssertionError("a worker pool was created")
 
         monkeypatch.setattr(channel, "ThreadPoolExecutor", no_pool)
-        with pytest.raises(ValueError, match=f"at most {channel.MAX_WORKERS}"):
-            run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), workers=channel.MAX_WORKERS + 1)
+        workers = channel.MAX_WORKERS + 1
+        with pytest.raises(ValueError, match=re.escape(f"workers {workers} is outside 1..{channel.MAX_WORKERS}")):
+            run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), workers=workers)
 
     def test_workers_cap_is_inclusive(self):
         # One 64-frame chunk: the pool starts one thread, whatever the worker count.
@@ -79,13 +89,15 @@ class TestStopRule:
     @pytest.mark.parametrize("fields", [dict(max_frames=0), dict(min_frame_errors=0),
                                         dict(max_frames=-5)])
     def test_rejects_fields_below_one(self, fields):
-        with pytest.raises(ValueError, match="at least 1"):
+        [(name, value)] = fields.items()
+        with pytest.raises(ValueError, match=re.escape(f"{name} {value} is outside 1..inf")):
             StopRule(**fields)
 
     @pytest.mark.parametrize("fields", [dict(max_frames=10.5), dict(min_frame_errors=2.0),
                                         dict(max_frames=True), dict(min_frame_errors="5")])
     def test_rejects_non_integer_fields(self, fields):
-        with pytest.raises(ValueError, match="must be an integer"):
+        [(name, value)] = fields.items()
+        with pytest.raises(ValueError, match=re.escape(f"{name} {value!r} is not an integer")):
             StopRule(**fields)
 
     def test_accepts_numpy_integers(self):
@@ -308,7 +320,7 @@ class TestRunFer:
         for name in ("ThreadPoolExecutor", "design_code", "_simulate_chunk", "noise_variance"):
             monkeypatch.setattr(channel, name, no_work)
         for batch_size in (max_batch + 1, 10**6):
-            with pytest.raises(ValueError, match=f"at most {max_batch} at N=2304, got {batch_size}"):
+            with pytest.raises(ValueError, match=re.escape(f"batch_size {batch_size} is outside 1..{max_batch}")):
                 run_fer(spec, snrs=(2.0,), batch_size=batch_size)
 
     def test_batch_size_cap_is_inclusive_and_admits_the_default_at_max_length(self):
@@ -322,13 +334,16 @@ class TestRunFer:
     @pytest.mark.parametrize("kw", [dict(workers=0), dict(batch_size=0), dict(batch_size=-1)])
     def test_rejects_workers_or_batch_size_below_one(self, spec96, kw):
         # a batch of 0 frames would never advance the point
-        with pytest.raises(ValueError, match="at least 1"):
+        [(name, value)] = kw.items()
+        high = channel.MAX_WORKERS if name == "workers" else channel.MAX_BATCH_LLRS // 96
+        with pytest.raises(ValueError, match=re.escape(f"{name} {value} is outside 1..{high}")):
             run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), **kw)
 
     @pytest.mark.parametrize("kw", [dict(batch_size=10.5), dict(workers=1.5), dict(workers=True),
                                     dict(batch_size=np.float64(64))])
     def test_rejects_non_integer_workers_or_batch_size(self, spec96, kw):
-        with pytest.raises(ValueError, match="must be an integer"):
+        [(name, value)] = kw.items()
+        with pytest.raises(ValueError, match=re.escape(f"{name} {value!r} is not an integer")):
             run_fer(spec96, snrs=(3.0,), stop=StopRule(max_frames=64), **kw)
 
     def test_accepts_numpy_integer_workers_and_batch_size(self, spec96):
@@ -343,7 +358,8 @@ class TestRunFer:
 
         for name in ("ThreadPoolExecutor", "design_code", "_make_decoder", "_simulate_chunk"):
             monkeypatch.setattr(channel, name, no_work)
-        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+        complaint = "seed -1 is outside 0..inf" if seed == -1 else f"seed {seed!r} is not an integer"
+        with pytest.raises(ValueError, match=re.escape(complaint)):
             run_fer(spec96, snrs=(2.0,), seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**64, np.uint64(3)], ids=repr)
@@ -361,3 +377,78 @@ class TestRunFer:
         # A bad point after a good one is rejected too.
         with pytest.raises(ValueError, match="out of range"):
             run_fer(spec96, snrs=(3.0, ebn0_db), stop=StopRule(max_frames=64))
+
+    @pytest.mark.parametrize(
+        "snrs,complaint",
+        [
+            (("2",), "Eb/N0 '2' is not a real number"),
+            ((3.0, None), "Eb/N0 None is not a real number"),
+            ((1j,), "Eb/N0 1j is not a real number"),
+            (2.0, "snrs must be a sequence of Eb/N0 values in dB, got 2.0"),
+        ],
+        ids=("str", "none_after_good", "complex", "scalar"),
+    )
+    def test_rejects_snrs_that_are_not_real_numbers(self, spec96, snrs, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            run_fer(spec96, snrs=snrs, stop=StopRule(max_frames=64))
+        assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call,complaint",
+    [
+        (lambda spec: FastSSCDecoder(spec, limits="x"), "limits must be a NodeLimits, got 'x'"),
+        (lambda spec: build_schedule(spec, limits=0), "limits must be a NodeLimits, got 0"),
+        (lambda spec: latency_table([spec], limits=3), "limits must be a NodeLimits, got 3"),
+        (lambda spec: classify_node([1, 0, 0, 0], (2, 2), {"spc": False}),
+         "limits must be a NodeLimits, got {'spc': False}"),
+        (lambda spec: run_fer(spec, decoder="fastssc", snrs=(3.0,), limits=(27, False)),
+         "limits must be a NodeLimits, got (27, False)"),
+        (lambda spec: run_fer(spec, stop=None), "stop must be a StopRule, got None"),
+        (lambda spec: run_fer(spec, stop=64), "stop must be a StopRule, got 64"),
+    ],
+    ids=("decoder", "schedule_falsy", "latency_table", "classify_node", "run_fer_limits", "stop_none",
+         "stop_int"),
+)
+def test_limits_and_stop_must_be_their_types(spec96, call, complaint):
+    with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+        call(spec96)
+    assert "\n" not in str(info.value)
+
+
+SPEC6 = design_code((2, 3), 3)
+
+
+def simulate6(**kw):
+    return run_fer(SPEC6, snrs=(3.0,), **{"stop": StopRule(max_frames=64), **kw})
+
+
+# Every public count: a call that takes it, its bounds and a numpy integer it accepts.
+COUNTS = {
+    "N": (lambda v: construct_code(v, 1), 2, MAX_CODE_LENGTH, np.int64(6)),
+    "K": (lambda v: construct_code(6, v), 0, 6, np.int64(3)),
+    "kernel size": (lambda v: design_code((2, v), 1), 2, 3, np.int64(3)),
+    "frozen index": (lambda v: CodeSpec.from_frozen_indices(6, 5, (2, 3), [v]), 0, 5, np.int64(2)),
+    "k_bits": (lambda v: select_frozen([4.0, 1.0, 9.0, 2.5], v), 0, 4, np.int64(2)),
+    "n_two": (lambda v: order_kernels(v, 1, OrderingStrategy.LAST), 0, 16, np.int64(1)),
+    "n_three": (lambda v: order_kernels(1, v, OrderingStrategy.LAST), 0, 16, np.int64(1)),
+    "rep3a_max_span": (lambda v: NodeLimits(rep3a_max_span=v), 3, 27, np.int64(9)),
+    "workers": (lambda v: simulate6(workers=v), 1, channel.MAX_WORKERS, np.int64(2)),
+    "batch_size": (lambda v: simulate6(batch_size=v), 1, channel.MAX_BATCH_LLRS // 6, np.int64(20)),
+    "max_frames": (lambda v: StopRule(max_frames=v), 1, math.inf, np.int64(64)),
+    "min_frame_errors": (lambda v: StopRule(min_frame_errors=v), 1, math.inf, np.int64(5)),
+    "seed": (lambda v: simulate6(seed=v), 0, math.inf, np.uint64(3)),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_every_count_has_one_integer_rule(name):
+    call, low, high, accepted = COUNTS[name]
+    complaints = [(value, f"{name} {value!r} is not an integer") for value in (2.0, True, "2")]
+    complaints += [(value, f"{name} {value} is outside {low}..{high}")
+                   for value in (low - 1, high + 1) if value != math.inf]
+    for value, complaint in complaints:
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            call(value)
+        assert "\n" not in str(info.value)
+    call(accepted)

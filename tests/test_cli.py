@@ -268,7 +268,9 @@ class TestCodeLengthCap:
         main = "import sys; from mkpolar.cli import main; sys.exit(main(sys.argv[1:]))"
         result = run_capped(main, *(a.format(tmp=tmp_path) for a in argv))
         assert result.returncode == 2, result.stderr
-        assert len(result.stderr.strip().splitlines()) == 1 and "65536" in result.stderr
+        # the largest K of a fixed-K sweep is one below the longest code
+        cap = f"K {10**18} is outside 1..65535" if argv[0] == "analyze" else "65536"
+        assert len(result.stderr.strip().splitlines()) == 1 and cap in result.stderr
 
     @pytest.mark.parametrize(
         "call",
@@ -282,6 +284,11 @@ class TestCodeLengthCap:
         ],
     )
     def test_library_raises_before_allocating(self, call):
+        # a kernel count is bounded by the 16 stages of the longest code
+        complaint = {
+            "order_kernels(60, 0, OrderingStrategy.HIGHEST_RELIABILITY)": "n_two 60 is outside 0..16",
+            "order_kernels(0, 38, OrderingStrategy.FIRST)": "n_three 38 is outside 0..16",
+        }.get(call, "above the maximum of 65536")
         code = (
             "from mkpolar.construction import (\n"
             "    CodeSpec, OrderingStrategy, design_code, ga_reliabilities, order_kernels)\n"
@@ -292,7 +299,7 @@ class TestCodeLengthCap:
         )
         result = run_capped(code)
         assert result.returncode == 0, result.stderr
-        assert "above the maximum of 65536" in result.stdout
+        assert complaint in result.stdout
 
     def test_longest_code_is_accepted(self):
         assert mkpolar.kernels.MAX_CODE_LENGTH == 2**16
@@ -444,7 +451,7 @@ class TestSimulate:
             (["--snr", "inf"], "out of range"),
             (["--snr", "3080"], "out of range"),
             (["--snr", "4:0.5:1"], "empty"),
-            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--seed", "-1"], "seed -1 is outside 0..inf"),
         ],
         ids=lambda v: v if isinstance(v, str) else " ".join(v),
     )
@@ -464,8 +471,8 @@ class TestSimulate:
         [
             # about 10^15 points: counted, never built
             (["--snr", "0:1e-12:1000"], "at most 10000"),
-            (["--workers", "65"], "at most 64"),
-            (["--workers", str(10**9)], "at most 64"),
+            (["--workers", "65"], "workers 65 is outside 1..64"),
+            (["--workers", str(10**9)], f"workers {10**9} is outside 1..64"),
         ],
         ids=lambda v: v if isinstance(v, str) else " ".join(v),
     )
@@ -504,7 +511,7 @@ class TestAnalyze:
         assert run_cli(["analyze", "--sweep-k", k]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"mkpolar analyze: K must be at least 1, got {k}"]
+        assert captured.err.splitlines() == [f"mkpolar analyze: K {k} is outside 1..65535"]
 
     def test_sweep_n(self, capsys):
         assert run_cli(["analyze", "--sweep-n", "96"]) == 0

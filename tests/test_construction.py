@@ -126,6 +126,14 @@ class TestGaReliabilities:
         with pytest.raises(ValueError, match="out of range"):
             construct_code(96, 48, OrderingStrategy.HIGHEST_RELIABILITY, ebn0_db=ebn0_db)
 
+    @pytest.mark.parametrize("ebn0_db", ("3", None, 1j, [3.0]), ids=repr)
+    def test_rejects_ebn0_that_is_not_a_real_number(self, ebn0_db):
+        complaint = re.escape(f"Eb/N0 {ebn0_db!r} is not a real number")
+        with pytest.raises(ValueError, match=complaint):
+            ga_reliabilities((2, 3), 0.5, ebn0_db)
+        with pytest.raises(ValueError, match=complaint):
+            design_code((2, 3), 3, ebn0_db)
+
 
 class TestArrayGaMatchesScalarOracle:
     """The array GA against the scalar GA it replaced (tests/conftest.py)."""
@@ -189,6 +197,12 @@ class TestSelectFrozen:
         a = select_frozen(z, 6)
         b = select_frozen(z, 6)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("z", ([[4.0, 1.0], [9.0, 2.5]], 3.0), ids=("2d", "scalar"))
+    def test_rejects_reliabilities_that_are_not_1d(self, z):
+        shape = np.shape(z)
+        with pytest.raises(ValueError, match=re.escape(f"reliabilities must be 1-D, got shape {shape}")):
+            select_frozen(z, 1)
 
     def test_rejects_nan(self):
         # argsort would rank a NaN as the most reliable index and unfreeze it.
@@ -322,7 +336,7 @@ class TestCodeSpec:
             ((4, 5, (2, 2), [0, 1]), "K 5 is outside 0..4"),
             ((4, -1, (2, 2), [0, 1]), "K -1 is outside 0..4"),
             ((4, 3, (2, 2), [0, 1]), "frozen mask weight 2 != N - K = 1"),
-            ((6, 3, (2, 5), [0, 1, 2]), "unsupported kernel sizes [5]"),
+            ((6, 3, (2, 5), [0, 1, 2]), "kernel size 5 is outside 2..3"),
             ((1, 1, (), []), "kernel vector must be nonempty"),
             ((6, 3, (2, 3), [0, 1, 2.5]), "frozen index 2.5 is not an integer"),
             ((6, 3, (2, 3), [True, 2, 3]), "frozen index True is not an integer"),
@@ -376,11 +390,15 @@ class TestCodeSpec:
             assert (spec.ga_means is expected.ga_means is None) or np.array_equal(spec.ga_means, expected.ga_means)
 
     @pytest.mark.parametrize(
-        "mask", ([2, 0, 0, 0, 0, 1], np.array([-1, 1, 1, 0, 0, 0]), [1, 1, 1, 0.5, 0.5, 0])
+        "mask,complaint",
+        [([2, 0, 0, 0, 0, 1], "frozen mask entry [0] is 2, not 0 or 1"),
+         (np.array([-1, 1, 1, 0, 0, 0]), "frozen mask entry [0] is -1, not 0 or 1"),
+         ([1, 1, 1, 0.5, 0.5, 0], "frozen mask entry [3] is 0.5, not 0 or 1")],
+        ids=("mask0", "mask1", "mask2"),
     )
-    def test_mask_entries_must_be_binary(self, mask):
+    def test_mask_entries_must_be_binary(self, mask, complaint):
         # Checked before the cast to uint8, which would make -1 a 255 and 0.5 a 0.
-        with pytest.raises(ValueError, match="frozen mask entries must be 0 or 1"):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
             CodeSpec(6, 3, (2, 3), mask)
 
     @pytest.mark.parametrize(

@@ -133,6 +133,25 @@ class TestClassifyNode:
     def test_mid_rate_generic(self):
         assert classify_node(np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8), (2, 3)) is NodeClass.GENERIC
 
+    @pytest.mark.parametrize(
+        "mask,complaint",
+        [([0.5, 0.5, 0.5, 0], "frozen mask entry [0] is 0.5, not 0 or 1"),
+         ([2, 0, 0, 0], "frozen mask entry [0] is 2, not 0 or 1"),
+         ([-1, 0, 0, 0], "frozen mask entry [0] is -1, not 0 or 1"),
+         ([0, 1, 1, np.nan], "frozen mask entry [3] is nan, not 0 or 1")],
+        ids=("half", "two", "negative", "nan"),
+    )
+    def test_mask_entries_must_be_0_or_1(self, mask, complaint):
+        # A cast to uint8 would make 0.5 a 0 (RATE1) and -1 overflow.
+        with pytest.raises(ValueError, match=re.escape(complaint)) as info:
+            classify_node(mask, (2, 2))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("mask", ([1, 0, 0], [1, 0, 0, 0, 0], [1], []), ids=len)
+    def test_mask_length_must_match_kernels(self, mask):
+        with pytest.raises(ValueError, match=re.escape(f"mask length {len(mask)} does not match kernel product 4")):
+            classify_node(mask, (2, 2))
+
 
 class TestNodeLimits:
     @pytest.mark.parametrize(
@@ -143,9 +162,10 @@ class TestNodeLimits:
             ({"general_rep": None}, "general_rep must be a bool, got None"),
             ({"rep3a_max_span": 27.0}, "rep3a_max_span 27.0 is not an integer"),
             ({"rep3a_max_span": True}, "rep3a_max_span True is not an integer"),
-            ({"rep3a_max_span": 81}, "rep3a_max_span must be 3, 9 or 27, got 81"),
+            ({"rep3a_max_span": 81}, "rep3a_max_span 81 is outside 3..27"),
+            ({"rep3a_max_span": 5}, "rep3a_max_span must be 3, 9 or 27, got 5"),
         ],
-        ids=("spc_str", "spc_int", "general_rep_none", "span_float", "span_bool", "span_81"),
+        ids=("spc_str", "spc_int", "general_rep_none", "span_float", "span_bool", "span_81", "span_5"),
     )
     def test_rejects_field_of_wrong_type(self, kwargs, complaint):
         # A truthy "False" would turn SPC on, and a float span would be stored as given.
