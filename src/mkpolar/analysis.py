@@ -137,6 +137,7 @@ def sweep_fixed_k(k_bits=164, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB,
 
 def sweep_fixed_n(n_bits=768, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB, limits=None):
     """Complexity vs rate at fixed codeword length."""
+    n_bits = _as_integer("N", n_bits, 2, MAX_CODE_LENGTH)  # before n_bits * rate could take a str
     rows = []
     for rate in rates:
         k = round(n_bits * rate)

@@ -277,7 +277,8 @@ def _design(kernels, k_bits, ebn0_db, z=None):
             z = ga_reliabilities(kernels, k_bits / n, ebn0_db)
         frozen = select_frozen(z, k_bits)
     else:
-        # Degenerate all-frozen / all-information codes skip GA.
+        # Degenerate all-frozen / all-information codes skip GA, not its Eb/N0 rule (at R = 1/2).
+        ebn0_db_to_linear(ebn0_db, 0.5)
         z = None
         frozen = np.full(n, 1 if k_bits == 0 else 0, dtype=np.uint8)
     spec = CodeSpec(n, k_bits, kernels, frozen, design_ebn0_db=ebn0_db)

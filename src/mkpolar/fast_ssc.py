@@ -16,7 +16,9 @@ differ only in which nodes are recognized (and counted in Table 2).
 
 FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
 schedule's multi-bit leaves replace the subtrees they prune, each writing
-its codeword and sourceword bits into the slices the walk hands it. Rate-1
+its codeword and sourceword bits into the slices the walk hands it (for a
+float64 frame's leaf under a list-walked node, rows of a small array that the
+walk reads back into its lists). Rate-1
 and SPC leaves take their hard decisions as a uint8 view of the comparison
 and recover their sourceword bits by one inverse stage transform each. They
 decide a tied (zero) LLR on the codeword bit, where SC decides the sourceword

@@ -22,12 +22,17 @@ LLR step returns and owns the contiguous block x[offset:offset+span] of one
 kernel combines the block in place, so once the root returns, x is x_hat.
 A batch's LLR steps write into one slab per decode_batch call, a row block per
 depth plus one scratch; one frame walks 1-D views with the allocating steps,
-which at that size cost less than numpy's in-place calls.
+which at that size cost less than numpy's in-place calls. A float64 frame's
+nodes of span at most _LIST_SPAN walk Python lists (_decode_list), as a float
+min or max costs tens of nanoseconds and a numpy call about a microsecond.
 """
 
 import numpy as np
 
-from .kernels import _run_stages, _stages
+from .kernels import KERNEL_STEPS, _run_stages, _stages
+
+# Largest node span one float64 frame decodes on Python lists; above it numpy's calls are cheaper.
+_LIST_SPAN = 27
 
 
 def f_op(l0, l1, out=None, scratch=None):
@@ -38,7 +43,10 @@ def f_op(l0, l1, out=None, scratch=None):
     would at 1e308 or inf * 0. Only a zero's sign may differ: f(+0, -0) is +0.
     Given out and scratch, both of the result's shape and float type, each LLR
     step writes its result to out (which may be l0) and its intermediates to scratch.
+    Given lists of floats (and of 0/1 partial sums), each step returns a list of the same values.
     """
+    if isinstance(l0, list):
+        return [max(min(a, b), -max(a, b)) for a, b in zip(l0, l1)]
     if out is None:
         return np.maximum(np.minimum(l0, l1), np.negative(np.maximum(l0, l1)))
     high = np.negative(np.maximum(l0, l1, out=scratch), out=scratch)
@@ -70,6 +78,8 @@ def _signs(u, out):
 
 def g_op(l0, l1, u0, out=None):
     """(-1)^u0 * l0 + l1, with u0 the left partial sum; out as in f_op."""
+    if isinstance(l0, list):
+        return [(-a if s else a) + b for a, b, s in zip(l0, l1, u0)]
     if out is None:
         return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + l1
     np.multiply(_signs(u0, out), l0, out=out)
@@ -83,6 +93,8 @@ def lambda0(l0, l1, l2, out=None, scratch=None):
 
 def lambda1(l0, l1, l2, u0, out=None, scratch=None):
     """(-1)^u0 * l0 + (l1 box-plus l2), for the center branch; out as in f_op."""
+    if isinstance(l0, list):
+        return [(-a if s else a) + b for a, b, s in zip(l0, f_op(l1, l2), u0)]
     if out is None:
         return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + f_op(l1, l2)
     boxplus = f_op(l1, l2, scratch, out)
@@ -95,6 +107,8 @@ def lambda2(l1, l2, u0, u1, out=None, scratch=None):
 
     u0 and u1 are the left and center partial sums.
     """
+    if isinstance(l1, list):
+        return [(-a if s else a) + (-b if s ^ t else b) for a, b, s, t in zip(l1, l2, u0, u1)]
     if out is None:
         u0 = np.asarray(u0, dtype=np.uint8)
         flip = u0 ^ np.asarray(u1, dtype=np.uint8)
@@ -112,13 +126,15 @@ class _TreeDecoder:
     is decoded in one step by `self._decode_leaf(node, alpha, beta, u)`,
     which a subclass that fills `_leaves` must define, on (batch, span) views
     of the node's blocks, (span,) for one frame; every other node recurses
-    down to single-bit decisions. A decode keeps its state in the arrays it
-    allocates, never on the instance, so one decoder may serve any number of
-    threads at once.
+    down to single-bit decisions. A float64 frame's nodes of span at most
+    _LIST_SPAN recurse on Python lists (_decode_list), through the same steps
+    and leaf decoder. A decode keeps its state in the arrays it allocates,
+    never on the instance, so one decoder may serve any number of threads at once.
     """
 
     def __init__(self, spec):
         self.spec = spec
+        self._frozen = spec.frozen.tolist()
         self._leaves = {}
         kv = spec.kernels  # a depth-d node combines by the first stage of kv[d:]
         self._combines = [_stages(False, *kv[depth:])[:1] for depth in range(len(kv))]
@@ -173,13 +189,15 @@ class _TreeDecoder:
         """Decode the node with (span, batch) LLRs alpha, (span,) for one frame, into x and u."""
         span = len(alpha)
         if span == 1:
-            x[offset] = 0 if self.spec.frozen[offset] else alpha[0] <= 0
-            u[offset] = x[offset]
+            x[offset] = u[offset] = 0 if self._frozen[offset] else alpha[0] <= 0
             return
         beta = x[offset : offset + span]
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
             self._decode_leaf(leaf, alpha.T, beta.T, u[offset : offset + span].T)
+            return
+        if slabs is None and span <= _LIST_SPAN and alpha.dtype == np.float64:
+            beta[:], u[offset : offset + span] = self._decode_list(alpha.tolist(), depth, offset)
             return
 
         k = self.spec.kernels[depth]
@@ -198,6 +216,33 @@ class _TreeDecoder:
             child = lambda2(l1, l2, beta[:q], beta[q : 2 * q], out, scratch)
             self._decode_node(child, x, u, depth + 1, offset + 2 * q, slabs)
         _run_stages(beta, self._combines[depth], beta.shape[1:])
+
+    def _decode_list(self, alpha, depth, offset):
+        """The node's (x, u) blocks as lists, from one frame's LLRs alpha as a list of floats:
+        _decode_node's walk, with each kernel combine as list XORs of its KERNEL_STEPS."""
+        span = len(alpha)
+        if span == 1:
+            bit = not self._frozen[offset] and alpha[0] <= 0
+            return [bit], [bit]
+        leaf = self._leaves.get((depth, offset))
+        if leaf is not None:
+            beta, u = np.empty(span, dtype=np.uint8), np.empty(span, dtype=np.uint8)
+            self._decode_leaf(leaf, np.array(alpha), beta, u)
+            return beta.tolist(), u.tolist()
+        k = self.spec.kernels[depth]
+        q = span // k
+        l0, l1, l2 = alpha[:q], alpha[q : 2 * q], alpha[2 * q :]
+        x0, u0 = self._decode_list(f_op(l0, l1) if k == 2 else lambda0(l0, l1, l2), depth + 1, offset)
+        if k == 2:
+            x1, u1 = self._decode_list(g_op(l0, l1, x0), depth + 1, offset + q)
+            x, u = [x0, x1], u0 + u1
+        else:
+            x1, u1 = self._decode_list(lambda1(l0, l1, l2, x0), depth + 1, offset + q)
+            x2, u2 = self._decode_list(lambda2(l1, l2, x0, x1), depth + 1, offset + 2 * q)
+            x, u = [x0, x1, x2], u0 + u1 + u2
+        for a, b in KERNEL_STEPS[k]:
+            x[a] = [p ^ r for p, r in zip(x[a], x[b])]
+        return sum(x, []), u
 
 
 class SCDecoder(_TreeDecoder):

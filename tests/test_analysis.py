@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,15 @@ class TestSweeps:
         assert {row["N"] for row in rows} == {768}
         ks = {round(row["R"] * 768) for row in rows}
         assert ks == {round(768 * i / 8) for i in range(1, 8)}
+
+    @pytest.mark.parametrize("n_bits, complaint", [("96", "N '96' is not an integer"),
+                                                   (96.0, "N 96.0 is not an integer"),
+                                                   (True, "N True is not an integer"),
+                                                   (1, "N 1 is outside 2..65536")])
+    def test_fixed_n_takes_n_by_the_integer_rule(self, n_bits, complaint):
+        # a str N once reached n_bits * rate and ended in a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(complaint)}$"):
+            sweep_fixed_n(n_bits, rates=(0.5,))
 
     def test_fixed_k_rows(self):
         rows = sweep_fixed_k(164)

@@ -134,6 +134,13 @@ class TestGaReliabilities:
         with pytest.raises(ValueError, match=complaint):
             design_code((2, 3), 3, ebn0_db)
 
+    @pytest.mark.parametrize("k_bits", (0, 6))
+    def test_code_without_ga_takes_ebn0_by_the_same_rule(self, k_bits):
+        # A K of 0 or N runs no GA; it once stored a str Eb/N0 as its design point.
+        with pytest.raises(ValueError, match=re.escape("Eb/N0 '3' is not a real number")):
+            design_code((2, 3), k_bits, "3")
+        assert design_code((2, 3), k_bits, 2.5).design_ebn0_db == 2.5
+
 
 class TestArrayGaMatchesScalarOracle:
     """The array GA against the scalar GA it replaced (tests/conftest.py)."""

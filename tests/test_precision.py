@@ -148,7 +148,9 @@ class FloatArrayLog:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", DECODERS)
 def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
-    # A silent upcast would cost the float32 speed and fail nothing else.
+    # A silent upcast would cost the float32 speed and fail nothing else. One
+    # float64 frame walks its nodes of span <= 27 on lists, whose Python floats
+    # are float64; a float32 frame never takes that list form.
     seen = {}
 
     def log_output(name):
@@ -156,7 +158,8 @@ def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
 
         def wrapper(*args):
             result = original(*args)
-            seen.setdefault(name, set()).add(result.dtype)
+            types = {type(v) for v in result} if isinstance(result, list) else {result.dtype}
+            seen.setdefault(name, set()).update(types)
             return result
 
         monkeypatch.setattr(sc, name, wrapper)
@@ -169,10 +172,15 @@ def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
     used = {n.node_class.value for n in getattr(decoder, "schedule", ()) if n.span > 1}
     monkeypatch.setattr(fast_ssc, "np", FloatArrayLog(seen))
     _, llrs = channel_frames(spec, 5, seed=1)
-    decoder.decode_batch(llrs.astype(dtype))
-    decoder.decode(llrs[0].astype(dtype))
     expected = set(STEPS) | ({"leaf float arrays"} if used else set())
+    decoder.decode_batch(llrs.astype(dtype))
     assert set(seen) == expected
+    assert all(types == {np.dtype(dtype)} for types in seen.values()), seen
+    seen.clear()
+    decoder.decode(llrs[0].astype(dtype))
+    assert set(seen) == expected
+    if dtype == np.float64:
+        assert all(seen.pop(name) in ({float}, {float, np.dtype(dtype)}) for name in STEPS), seen
     assert all(types == {np.dtype(dtype)} for types in seen.values()), seen
     if kind != "sc":
         assert {"rate1", "rep3a", "rep3c"} <= used and ("spc" in used) == (kind == "fastssc")

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mkpolar import sc
+from mkpolar.analysis import sc_node_count
+from mkpolar.construction import design_code
 from mkpolar.encoding import expand_message
 from mkpolar.kernels import stage_transform
 from mkpolar.sc import (
@@ -17,7 +20,7 @@ from mkpolar.sc import (
     lambda2,
 )
 
-from conftest import kernel_vectors, noiseless_llrs, spec_with_frozen
+from conftest import DECODERS, kernel_vectors, noiseless_llrs, spec_with_frozen
 
 nonzero_llr = st.floats(-50, 50).filter(lambda v: abs(v) > 1e-6)
 
@@ -186,6 +189,55 @@ def test_llr_step_into_out_equals_allocating_form(step, shape, dtype, rng):
     got = step(*llrs, *sums, out=out, **kwargs)
     assert got is out and got.dtype == want.dtype
     assert_same_llrs(got, want)
+
+
+@pytest.mark.parametrize("step", STEP_ARITY, ids=lambda step: step.__name__)
+def test_llr_step_list_form_equals_numpy_form(step, rng):
+    # One float64 frame's nodes of span <= 27 run each step on lists of Python floats,
+    # with partial sums as the walk keeps them there: 0/1 ints and bools.
+    n_llrs, n_sums = STEP_ARITY[step]
+    shape = (n_llrs, 500)
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, BOUND, -BOUND, TINY, -TINY])
+    llrs = np.where(rng.random(shape) < 0.6, rng.choice(edges, shape), 4 * rng.standard_normal(shape))
+    llrs[1:, :100] = -llrs[0, :100]  # equal magnitudes of opposite sign
+    sums = rng.integers(0, 2, (n_sums, 500), dtype=np.uint8)
+    want = step(*llrs, *sums)
+    sums = [[bool(v) if j % 2 else v for j, v in enumerate(row)] for row in sums.tolist()]
+    got = step(*llrs.tolist(), *sums)
+    assert isinstance(got, list) and {type(v) for v in got} == {float}
+    assert_same_llrs(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", DECODERS)
+@pytest.mark.parametrize("kv", [(2, 3, 2, 3, 2, 3), (2, 2, 2, 2, 3, 3, 3), (3, 3, 3, 2, 2)], ids=str)
+def test_every_node_is_entered_by_one_named_step(kv, kind, dtype, monkeypatch, rng):
+    # perfbench times the steps by wrapping these module names: each non-root node of
+    # the (pruned) tree must be entered by one call through them, on every path of the walk.
+    spec = design_code(kv, int(np.prod(kv)) // 2)
+    decoder = DECODERS[kind](spec)
+    schedule = getattr(decoder, "schedule", None)
+    per_decode = sc_node_count(kv) if schedule is None else len(list(schedule)) - 1
+    active, calls = [0], [0]
+
+    def counted(step):
+        def wrapper(*args, **kwargs):
+            calls[0] += not active[0]  # lambda0 and lambda1 call f_op inside
+            active[0] += 1
+            try:
+                return step(*args, **kwargs)
+            finally:
+                active[0] -= 1
+
+        return wrapper
+
+    for name in ("f_op", "g_op", "lambda0", "lambda1", "lambda2"):
+        monkeypatch.setattr(sc, name, counted(getattr(sc, name)))
+    llrs = (4 + 4 * rng.standard_normal((3, spec.n_bits))).astype(dtype)
+    decoder.decode(llrs[0])
+    assert calls[0] == per_decode
+    decoder.decode_batch(llrs)
+    assert calls[0] == 2 * per_decode
 
 
 def naive_sc(spec, llr):
