@@ -13,6 +13,10 @@ decode   u_hat and x_hat of the 36 benchmark design codes (N in 96, 432, 768,
          -2..2, so with ties, 16 Gaussian frames and one all-zero frame),
          decoded by decode_batch from a C-ordered and from an F-ordered
          (frames, N) array and frame by frame by decode.
+decode float32
+         the same codes, decoders and frames, with the frames rounded to
+         float32, so the walk computes in float32 throughout. These frames
+         decide in float32 as in float64, so the two digests agree.
 run_fer  the rows of 96 run_fer runs: N 96 and 432 (K = N/2, last ordering,
          designed at 3 dB) x both decoders x seeds 0-2 x (workers,
          batch_size) in (1, 1024), (1, 37), (3, 100), (2, 64) x per-SNR
@@ -58,11 +62,11 @@ def frames(n, count, seed):
     return np.vstack([ties, gaussian, np.zeros((1, n))])
 
 
-def decode_digest(codes, decoders, count):
+def decode_digest(codes, decoders, count, dtype=np.float64):
     h = hashlib.sha256()
     for index, code in enumerate(codes):
         spec = construct_code(*code)
-        llrs = frames(spec.n_bits, count, index)
+        llrs = frames(spec.n_bits, count, index).astype(dtype)
         for _, make in decoders:
             decoder = make(spec)
             outputs = [decoder.decode_batch(llrs), decoder.decode_batch(np.asfortranarray(llrs))]
@@ -101,6 +105,8 @@ def main():
     codes, count = first(CODES), 3 if args.quick else 33
     digest = decode_digest(codes, DECODERS, count)
     print(f"decode {len(codes)} codes x {len(DECODERS)} decoders x {count} frames sha256 {digest}")
+    digest = decode_digest(codes, DECODERS, count, np.float32)
+    print(f"decode float32 {len(codes)} codes x {len(DECODERS)} decoders x {count} frames sha256 {digest}")
     runs, digest = run_fer_digest(first(SIM_LENGTHS), first(SIM_DECODERS), first(SIM_SEEDS),
                                   first(SIM_BATCHING), first(SIM_REDESIGN))
     print(f"run_fer {runs} runs sha256 {digest}")

@@ -52,8 +52,12 @@ def sc_node_count(kv):
 
 
 def schedule_stats(sched, kv=None):
-    """NodeCounts for a pruned schedule, against the SC cost of its kernels."""
-    kv = sched.kernels if kv is None else validate_kernel_vector(kv)
+    """NodeCounts for a pruned schedule, against the SC cost of its kernels.
+
+    kv, if given, must be the schedule's kernel vector; any other raises ValueError.
+    """
+    if kv is not None and validate_kernel_vector(kv) != sched.kernels:
+        raise ValueError(f"kernel vector {kv} is not the schedule's {sched.kernels}")
     tally = {cls: 0 for cls in NodeClass}
     nodes = 0
     decode_ops = 0
@@ -65,7 +69,7 @@ def schedule_stats(sched, kv=None):
         if node.span >= 2:
             decode_ops += 1
     return NodeCounts(
-        sc_nodes=sc_node_count(kv),
+        sc_nodes=sc_node_count(sched.kernels),
         fast_nodes=(nodes - 1) + decode_ops,
         r0=tally[NodeClass.RATE0],
         r1=tally[NodeClass.RATE1],

@@ -20,12 +20,15 @@ the last axis: a node gets its (span, batch) LLRs as the value its parent's
 LLR step returns and owns the contiguous block x[offset:offset+span] of one
 (N, batch) partial-sum array; its children fill their sub-blocks, then its
 kernel combines the block in place, so once the root returns, x is x_hat.
-A batch's LLR steps write into one slab per decode_batch call, a row block per
-depth plus one scratch; one frame walks 1-D views with the allocating steps,
-which at that size cost less than numpy's in-place calls. A float64 frame's
-nodes of span at most _LIST_SPAN walk Python lists (_decode_list), as a float
-min or max costs tens of nanoseconds and a numpy call about a microsecond.
+Every numpy LLR step writes into one slab per decode_batch call, a row block
+per depth plus one scratch, laid out once per decoder; for one frame the blocks
+are 1-D views, as x and u are. One float64 frame's nodes of span at most
+_LIST_SPAN walk Python lists (_decode_list) instead, as a float min or max
+costs tens of nanoseconds and a numpy call about a microsecond.
 """
+
+from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -41,14 +44,13 @@ def f_op(l0, l1, out=None, scratch=None):
     Computed as max(min(l0, l1), -max(l0, l1)), the same value in four exact
     numpy passes with no product, so no input overflows or warns as l0 * l1
     would at 1e308 or inf * 0. Only a zero's sign may differ: f(+0, -0) is +0.
-    Given out and scratch, both of the result's shape and float type, each LLR
-    step writes its result to out (which may be l0) and its intermediates to scratch.
-    Given lists of floats (and of 0/1 partial sums), each step returns a list of the same values.
+    Each LLR step has two forms, both with the same values. Given arrays, it
+    writes its result to out (which may be l0) and its intermediates to
+    scratch, both of the result's shape and float type, and returns out.
+    Given lists of floats (and of 0/1 partial sums), it returns a list.
     """
     if isinstance(l0, list):
         return [max(min(a, b), -max(a, b)) for a, b in zip(l0, l1)]
-    if out is None:
-        return np.maximum(np.minimum(l0, l1), np.negative(np.maximum(l0, l1)))
     high = np.negative(np.maximum(l0, l1, out=scratch), out=scratch)
     np.minimum(l0, l1, out=out)
     return np.maximum(out, high, out=out)
@@ -80,8 +82,6 @@ def g_op(l0, l1, u0, out=None):
     """(-1)^u0 * l0 + l1, with u0 the left partial sum; out as in f_op."""
     if isinstance(l0, list):
         return [(-a if s else a) + b for a, b, s in zip(l0, l1, u0)]
-    if out is None:
-        return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + l1
     np.multiply(_signs(u0, out), l0, out=out)
     return np.add(out, l1, out=out)
 
@@ -95,8 +95,6 @@ def lambda1(l0, l1, l2, u0, out=None, scratch=None):
     """(-1)^u0 * l0 + (l1 box-plus l2), for the center branch; out as in f_op."""
     if isinstance(l0, list):
         return [(-a if s else a) + b for a, b, s in zip(l0, f_op(l1, l2), u0)]
-    if out is None:
-        return (1.0 - 2.0 * np.asarray(u0, dtype=_llr_dtype(l0))) * l0 + f_op(l1, l2)
     boxplus = f_op(l1, l2, scratch, out)
     np.multiply(_signs(u0, out), l0, out=out)
     return np.add(out, boxplus, out=out)
@@ -109,11 +107,6 @@ def lambda2(l1, l2, u0, u1, out=None, scratch=None):
     """
     if isinstance(l1, list):
         return [(-a if s else a) + (-b if s ^ t else b) for a, b, s, t in zip(l1, l2, u0, u1)]
-    if out is None:
-        u0 = np.asarray(u0, dtype=np.uint8)
-        flip = u0 ^ np.asarray(u1, dtype=np.uint8)
-        dtype = _llr_dtype(l1)
-        return (1.0 - 2.0 * u0.astype(dtype)) * l1 + (1.0 - 2.0 * flip.astype(dtype)) * l2
     # (-1)^u0 * (l1 + (-1)^u1 * l2): +-1 commutes with rounding; an exact zero's sign may differ.
     np.add(l1, np.multiply(_signs(u1, out), l2, out=out), out=out)
     return np.multiply(_signs(u0, scratch), out, out=out)
@@ -126,10 +119,11 @@ class _TreeDecoder:
     is decoded in one step by `self._decode_leaf(node, alpha, beta, u)`,
     which a subclass that fills `_leaves` must define, on (batch, span) views
     of the node's blocks, (span,) for one frame; every other node recurses
-    down to single-bit decisions. A float64 frame's nodes of span at most
-    _LIST_SPAN recurse on Python lists (_decode_list), through the same steps
-    and leaf decoder. A decode keeps its state in the arrays it allocates,
-    never on the instance, so one decoder may serve any number of threads at once.
+    down to single-bit decisions, its LLR steps writing into the call's slab.
+    One float64 frame's nodes of span at most _LIST_SPAN recurse on Python
+    lists (_decode_list), through the same steps and leaf decoder. A decode
+    keeps its state in the arrays it allocates, never on the instance, so one
+    decoder may serve any number of threads at once.
     """
 
     def __init__(self, spec):
@@ -138,6 +132,12 @@ class _TreeDecoder:
         self._leaves = {}
         kv = spec.kernels  # a depth-d node combines by the first stage of kv[d:]
         self._combines = [_stages(False, *kv[depth:])[:1] for depth in range(len(kv))]
+        # Slab rows: a scratch block, then one out block per depth (whose steps use a scratch prefix).
+        spans = [spec.n_bits // prod(kv[: depth + 1]) for depth in range(len(kv))]
+        starts = list(accumulate([spans[0], *spans]))
+        self._slab_rows = starts[-1]
+        self._slab_blocks = [(slice(start, start + span), slice(span))
+                             for start, span in zip(starts, spans)]
 
     def decode(self, llr):
         """Decode one frame; returns (u_hat, x_hat) with x_hat the root partial sums.
@@ -175,18 +175,15 @@ class _TreeDecoder:
         if not (llrs.flags.f_contiguous and -bound <= low and llrs.max(initial=-np.inf) <= bound):
             alpha = np.clip(alpha, -bound, bound, out=np.empty_like(alpha, order="C"))
         u, x = np.empty((2, *alpha.shape), dtype=np.uint8)
-        if len(llrs) == 1:
-            self._decode_node(alpha[:, 0], x[:, 0], u[:, 0], 0, 0, None)
-        else:  # one slab per call: (out, scratch) row blocks per depth, a shared scratch first
-            spans = (n // np.cumprod(self.spec.kernels)).tolist()
-            starts = np.cumsum([spans[0], *spans]).tolist()
-            slab = np.empty((starts[-1], len(llrs)), dtype=alpha.dtype)
-            slabs = [(slab[start : start + span], slab[:span]) for start, span in zip(starts, spans)]
-            self._decode_node(alpha, x, u, 0, 0, slabs)
+        frames = 0 if len(llrs) == 1 else slice(None)  # one frame walks 1-D views
+        slab = np.empty((self._slab_rows, len(llrs)), dtype=alpha.dtype)[:, frames]
+        slabs = [(slab[out], slab[scratch]) for out, scratch in self._slab_blocks]
+        self._decode_node(alpha[:, frames], x[:, frames], u[:, frames], 0, 0, slabs)
         return (u.T, x.T) if llrs.flags.f_contiguous else (u.T.copy(), x.T.copy())
 
     def _decode_node(self, alpha, x, u, depth, offset, slabs):
-        """Decode the node with (span, batch) LLRs alpha, (span,) for one frame, into x and u."""
+        """Decode the node with (span, batch) LLRs alpha, (span,) for one frame, into x and u;
+        slabs[depth] holds the (out, scratch) blocks of the node's LLR steps."""
         span = len(alpha)
         if span == 1:
             x[offset] = u[offset] = 0 if self._frozen[offset] else alpha[0] <= 0
@@ -196,13 +193,13 @@ class _TreeDecoder:
         if leaf is not None:
             self._decode_leaf(leaf, alpha.T, beta.T, u[offset : offset + span].T)
             return
-        if slabs is None and span <= _LIST_SPAN and alpha.dtype == np.float64:
+        if alpha.ndim == 1 and span <= _LIST_SPAN and alpha.dtype == np.float64:
             beta[:], u[offset : offset + span] = self._decode_list(alpha.tolist(), depth, offset)
             return
 
         k = self.spec.kernels[depth]
         q = span // k
-        out, scratch = slabs[depth] if slabs else (None, None)
+        out, scratch = slabs[depth]
         # Children's partial sums stay raw in their blocks until the last is decoded.
         if k == 2:
             l0, l1 = alpha[:q], alpha[q:]

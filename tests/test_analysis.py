@@ -69,6 +69,15 @@ class TestScheduleStats:
         counts = schedule_stats(build_schedule(spec))
         assert 1 <= counts.fast_nodes <= counts.sc_nodes
 
+    def test_kernel_vector_must_be_the_schedules(self):
+        # Another code's kernels gave another code's SC cost, and a reduction of -617%.
+        sched = build_schedule(construct_code(96, 48))
+        counts = schedule_stats(sched)
+        assert schedule_stats(sched, None) == schedule_stats(sched, list(sched.kernels)) == counts
+        match = r"^kernel vector \(2, 2\) is not the schedule's \(2, 2, 2, 2, 2, 3\)$"
+        with pytest.raises(ValueError, match=match):
+            schedule_stats(sched, (2, 2))
+
 
 class TestLatencyTable:
     def test_empty(self):

@@ -6,6 +6,7 @@ many frames' decisions differ from float64 on the same channel LLRs, the FER,
 and the equivalences and saturation rules the float64 decoders keep.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -186,12 +187,39 @@ def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
         assert {"rate1", "rep3a", "rep3c"} <= used and ("spc" in used) == (kind == "fastssc")
 
 
-def test_only_float32_stays_float32():
-    # Python scalars, integers and other float types compute in float64, as before.
-    assert np.asarray(sc.g_op(2.0, 3.0, 1)).dtype == np.float64
-    assert sc.lambda1(np.float32(1.0), np.float32(2.0), np.float32(3.0), 1).dtype == np.float32
-    for l1 in (np.float32(2.0), np.array([2.0], dtype=np.float16), np.array([2])):
-        want = np.float32 if np.asarray(l1).dtype == np.float32 else np.float64
-        assert sc.lambda2(l1, l1, 0, 1).dtype == want
-        assert sc.g_op(l1, l1, 1).dtype == want
+def test_only_float32_stays_float32(monkeypatch):
+    # Lists of Python floats or ints, integer arrays and every float type but native
+    # float32 walk float64 slabs; float32 frames walk float32 ones. A node above span
+    # 27 runs numpy steps even in one float64 frame, so decode and decode_batch both
+    # show the type of the slab block each step writes into.
+    written = []
+
+    def log_out(name):
+        original = getattr(sc, name)
+        signature = inspect.signature(original)
+
+        def wrapper(*args, **kwargs):
+            out = signature.bind(*args, **kwargs).arguments.get("out")
+            if out is not None:
+                written.append(out.dtype)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sc, name, wrapper)
+
+    for name in STEPS:
+        log_out(name)
+    spec = design_code((2, 3, 2, 3, 2, 3), 108, ebn0_db=2.0)
+    _, llrs = channel_frames(spec, 2, seed=1)
+    ints = np.rint(llrs).astype(int)
+    cases = [(llrs.tolist(), np.float64), (ints.tolist(), np.float64), (ints, np.float64),
+             (llrs.astype(np.float16), np.float64),
+             (llrs.astype(np.dtype(np.float32).newbyteorder()), np.float64),
+             (llrs.astype(np.float32), np.float32)]
+    for make in DECODERS.values():
+        decoder = make(spec)
+        for frames, want in cases:
+            for decode, arg in ((decoder.decode, frames[0]), (decoder.decode_batch, frames)):
+                written.clear()
+                decode(arg)
+                assert written and set(written) == {np.dtype(want)}, (type(arg), want)
     assert fast_ssc.decode_rep([1.0, -2.0], fast_ssc.rep_pattern((2,)))[0].tolist() == [1, 1]

@@ -68,8 +68,33 @@ def textbook_boxplus(*llrs):
     return sign * np.min([np.abs(v) for v in llrs], axis=0)
 
 
-def minus_one_to(u):
-    return np.power(-1.0, np.asarray(u))
+def minus_one_to(u, dtype=np.float64):
+    """(-1)^u of 0/1 partial sums u, in the float type dtype."""
+    return np.where(np.asarray(u) != 0, -1, 1).astype(dtype)
+
+
+# Each LLR step's textbook formula, computed in the float type of its LLRs.
+TEXTBOOK = {
+    f_op: textbook_boxplus,
+    g_op: lambda l0, l1, u0: minus_one_to(u0, np.result_type(l0)) * l0 + l1,
+    lambda0: textbook_boxplus,
+    lambda1: lambda l0, l1, l2, u0: minus_one_to(u0, np.result_type(l0)) * l0 + textbook_boxplus(l1, l2),
+    lambda2: lambda l1, l2, u0, u1: (minus_one_to(u0, np.result_type(l1)) * l1
+                                     + minus_one_to(np.bitwise_xor(u0, u1), np.result_type(l1)) * l2),
+}
+
+# LLR step -> (LLR operands, partial sums)
+STEP_ARITY = {f_op: (2, 0), g_op: (2, 1), lambda0: (3, 0), lambda1: (3, 1), lambda2: (2, 2)}
+
+
+def in_place(step, *args):
+    """step(*args) in its numpy form, which writes into buffers its caller supplies: out (and
+    scratch) are allocated, NaN-filled, in the LLRs' shape and float type; scalars run as 0-d."""
+    llrs = args[: STEP_ARITY[step][0]]
+    out, scratch = (np.full(np.shape(llrs[0]), np.nan, dtype=np.result_type(*llrs)) for _ in range(2))
+    got = step(*args, out=out) if step is g_op else step(*args, out=out, scratch=scratch)
+    assert got is out
+    return got
 
 
 def assert_same_llrs(got, want):
@@ -81,9 +106,9 @@ def assert_same_llrs(got, want):
 
 class TestLlrOps:
     def test_f_op(self):
-        assert f_op(1.5, -2.0) == pytest.approx(-1.5)
-        assert f_op(0.0, 5.0) == pytest.approx(0.0)
-        assert f_op(3.0, 4.0) == pytest.approx(3.0)
+        assert in_place(f_op, 1.5, -2.0) == pytest.approx(-1.5)
+        assert in_place(f_op, 0.0, 5.0) == pytest.approx(0.0)
+        assert in_place(f_op, 3.0, 4.0) == pytest.approx(3.0)
 
     def test_f_op_matches_sign_product_formula_at_extremes(self):
         # The reference is the textbook sign(l0) sign(l1) min(|l0|, |l1|).
@@ -94,72 +119,70 @@ class TestLlrOps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             expected = np.sign(l0) * np.sign(l1) * np.minimum(np.abs(l0), np.abs(l1))
-            got = f_op(l0, l1)
+            got = in_place(f_op, l0, l1)
         assert np.array_equal(got, expected)
         assert np.array_equal(got <= 0, expected <= 0)
 
     def test_g_op(self):
-        assert g_op(2.0, 3.0, 0) == pytest.approx(5.0)
-        assert g_op(2.0, 3.0, 1) == pytest.approx(1.0)
-        assert g_op(7.5, 0.0, 1) == pytest.approx(-7.5)
+        assert in_place(g_op, 2.0, 3.0, 0) == pytest.approx(5.0)
+        assert in_place(g_op, 2.0, 3.0, 1) == pytest.approx(1.0)
+        assert in_place(g_op, 7.5, 0.0, 1) == pytest.approx(-7.5)
 
     def test_lambda0(self):
-        assert lambda0(1.0, 2.0, -3.0) == pytest.approx(-1.0)
-        assert lambda0(0.0, 2.0, -3.0) == pytest.approx(0.0)
-        assert lambda0(5.0, 5.0, 5.0) == pytest.approx(5.0)
+        assert in_place(lambda0, 1.0, 2.0, -3.0) == pytest.approx(-1.0)
+        assert in_place(lambda0, 0.0, 2.0, -3.0) == pytest.approx(0.0)
+        assert in_place(lambda0, 5.0, 5.0, 5.0) == pytest.approx(5.0)
 
     def test_lambda1(self):
-        assert lambda1(1.0, 2.0, 3.0, 0) == pytest.approx(3.0)
-        assert lambda1(1.0, 2.0, 3.0, 1) == pytest.approx(1.0)
-        assert lambda1(0.0, -4.0, 2.5, 0) == pytest.approx(f_op(-4.0, 2.5))
+        assert in_place(lambda1, 1.0, 2.0, 3.0, 0) == pytest.approx(3.0)
+        assert in_place(lambda1, 1.0, 2.0, 3.0, 1) == pytest.approx(1.0)
+        assert in_place(lambda1, 0.0, -4.0, 2.5, 0) == pytest.approx(in_place(f_op, -4.0, 2.5))
 
     def test_lambda2(self):
-        assert lambda2(2.0, 3.0, 1, 1) == pytest.approx(1.0)
-        assert lambda2(2.0, 3.0, 0, 0) == pytest.approx(5.0)
-        assert lambda2(2.0, 3.0, 0, 1) == pytest.approx(-1.0)
+        assert in_place(lambda2, 2.0, 3.0, 1, 1) == pytest.approx(1.0)
+        assert in_place(lambda2, 2.0, 3.0, 0, 0) == pytest.approx(5.0)
+        assert in_place(lambda2, 2.0, 3.0, 0, 1) == pytest.approx(-1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(llr_step_inputs(2, 0, any_llr))
     @settings(max_examples=200, deadline=None)
     def test_f_op_matches_textbook(self, inputs):
         (l0, l1), _ = inputs
-        assert_same_llrs(f_op(l0, l1), textbook_boxplus(l0, l1))
+        assert_same_llrs(in_place(f_op, l0, l1), textbook_boxplus(l0, l1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(llr_step_inputs(3, 0, any_llr))
     @settings(max_examples=200, deadline=None)
     def test_lambda0_matches_textbook(self, inputs):
         (l0, l1, l2), _ = inputs
-        assert_same_llrs(lambda0(l0, l1, l2), textbook_boxplus(l0, l1, l2))
+        assert_same_llrs(in_place(lambda0, l0, l1, l2), textbook_boxplus(l0, l1, l2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(llr_step_inputs(2, 1, saturated_llr))
     @settings(max_examples=200, deadline=None)
     def test_g_op_matches_textbook(self, inputs):
         (l0, l1), (u0,) = inputs
-        assert_same_llrs(g_op(l0, l1, u0), minus_one_to(u0) * l0 + l1)
+        assert_same_llrs(in_place(g_op, l0, l1, u0), TEXTBOOK[g_op](l0, l1, u0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(llr_step_inputs(3, 1, saturated_llr))
     @settings(max_examples=200, deadline=None)
     def test_lambda1_matches_textbook(self, inputs):
         (l0, l1, l2), (u0,) = inputs
-        want = minus_one_to(u0) * l0 + textbook_boxplus(l1, l2)
-        assert_same_llrs(lambda1(l0, l1, l2, u0), want)
+        assert_same_llrs(in_place(lambda1, l0, l1, l2, u0), TEXTBOOK[lambda1](l0, l1, l2, u0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(llr_step_inputs(2, 2, saturated_llr))
     @settings(max_examples=200, deadline=None)
     def test_lambda2_matches_textbook(self, inputs):
         (l1, l2), (u0, u1) = inputs
-        want = minus_one_to(u0) * l1 + minus_one_to(np.bitwise_xor(u0, u1)) * l2
-        assert_same_llrs(lambda2(l1, l2, u0, u1), want)
+        assert_same_llrs(in_place(lambda2, l1, l2, u0, u1), TEXTBOOK[lambda2](l1, l2, u0, u1))
 
     @given(nonzero_llr, nonzero_llr)
     @settings(max_examples=200, deadline=None)
     def test_boxplus_sign_property(self, a, b):
         # h(a [+] b) == h(a) xor h(b) whenever a*b != 0, with h(v) = [v <= 0]
-        assert (f_op(a, b) <= 0) == ((a <= 0) ^ (b <= 0))
+        assert (in_place(f_op, a, b) <= 0) == ((a <= 0) ^ (b <= 0))
 
 
 def array_flags(a):
@@ -167,14 +190,11 @@ def array_flags(a):
     return {name: a.flags[name] for name in names}
 
 
-# LLR step -> (LLR operands, partial sums)
-STEP_ARITY = {f_op: (2, 0), g_op: (2, 1), lambda0: (3, 0), lambda1: (3, 1), lambda2: (2, 2)}
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("shape", [(), (5,), (5, 1), (5, 1024)], ids=str)
 @pytest.mark.parametrize("step", STEP_ARITY, ids=lambda step: step.__name__)
 def test_llr_step_into_out_equals_allocating_form(step, shape, dtype, rng):
+    # The allocating form is the textbook formula, computed by numpy in the LLRs' float type.
     n_llrs, n_sums = STEP_ARITY[step]
     # Small integers give ties and zeros of both signs; the rest are Gaussian.
     llrs = np.where(rng.random((n_llrs, *shape)) < 0.5, rng.integers(-2, 3, (n_llrs, *shape)),
@@ -183,11 +203,9 @@ def test_llr_step_into_out_equals_allocating_form(step, shape, dtype, rng):
     sums = rng.integers(0, 2, (n_sums, *shape), dtype=np.uint8)
     if shape == ():
         llrs, sums = [dtype(v) for v in llrs], [int(v) for v in sums]
-    out = np.full(shape, np.nan, dtype=dtype)
-    kwargs = {} if step is g_op else {"scratch": np.full(shape, np.nan, dtype=dtype)}
-    want = step(*llrs, *sums)
-    got = step(*llrs, *sums, out=out, **kwargs)
-    assert got is out and got.dtype == want.dtype
+    want = TEXTBOOK[step](*llrs, *sums)
+    got = in_place(step, *llrs, *sums)
+    assert got.dtype == want.dtype == dtype
     assert_same_llrs(got, want)
 
 
@@ -201,7 +219,7 @@ def test_llr_step_list_form_equals_numpy_form(step, rng):
     llrs = np.where(rng.random(shape) < 0.6, rng.choice(edges, shape), 4 * rng.standard_normal(shape))
     llrs[1:, :100] = -llrs[0, :100]  # equal magnitudes of opposite sign
     sums = rng.integers(0, 2, (n_sums, 500), dtype=np.uint8)
-    want = step(*llrs, *sums)
+    want = in_place(step, *llrs, *sums)
     sums = [[bool(v) if j % 2 else v for j, v in enumerate(row)] for row in sums.tolist()]
     got = step(*llrs.tolist(), *sums)
     assert isinstance(got, list) and {type(v) for v in got} == {float}
@@ -241,7 +259,7 @@ def test_every_node_is_entered_by_one_named_step(kv, kind, dtype, monkeypatch, r
 
 
 def naive_sc(spec, llr):
-    """Buffer-free functional SC used as an oracle for the production decoder."""
+    """Buffer-free functional SC on the textbook LLR formulas, an oracle for the production decoder."""
 
     def rec(alpha, kv_sub, offset):
         if not kv_sub:
@@ -251,13 +269,13 @@ def naive_sc(spec, llr):
         q = len(alpha) // k
         if k == 2:
             l0, l1 = alpha[:q], alpha[q:]
-            u0, b0 = rec(f_op(l0, l1), rest, offset)
-            u1, b1 = rec(g_op(l0, l1, b0), rest, offset + q)
+            u0, b0 = rec(TEXTBOOK[f_op](l0, l1), rest, offset)
+            u1, b1 = rec(TEXTBOOK[g_op](l0, l1, b0), rest, offset + q)
             return u0 + u1, np.concatenate([b0 ^ b1, b1])
         l0, l1, l2 = alpha[:q], alpha[q : 2 * q], alpha[2 * q :]
-        ua, ba = rec(lambda0(l0, l1, l2), rest, offset)
-        ub, bb = rec(lambda1(l0, l1, l2, ba), rest, offset + q)
-        uc, bc = rec(lambda2(l1, l2, ba, bb), rest, offset + 2 * q)
+        ua, ba = rec(TEXTBOOK[lambda0](l0, l1, l2), rest, offset)
+        ub, bb = rec(TEXTBOOK[lambda1](l0, l1, l2, ba), rest, offset + q)
+        uc, bc = rec(TEXTBOOK[lambda2](l1, l2, ba, bb), rest, offset + 2 * q)
         return ua + ub + uc, np.concatenate([ba ^ bb, ba ^ bc, ba ^ bb ^ bc])
 
     u, x = rec(np.asarray(llr, dtype=float), spec.kernels, 0)

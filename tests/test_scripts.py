@@ -35,8 +35,11 @@ def test_script_writes_one_row_per_snr(tmp_path, monkeypatch, capsys, script, ex
 def test_output_digest_quick_prints_both_digests(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["output_digest.py", "--quick"])
     runpy.run_path(str(SCRIPTS / "output_digest.py"), run_name="__main__")
-    decode, sim = capsys.readouterr().out.splitlines()
+    decode, decode32, sim = capsys.readouterr().out.splitlines()
     # Any bit-level change to decoding or to the random stream changes these.
     assert decode == ("decode 1 codes x 3 decoders x 3 frames sha256 "
                       "ef72196650285d8487018d430b1b0abac29525dfc12926afcd598c21f3e8503d")
+    # The float32 frames decide as the float64 ones do, so their outputs hash alike.
+    assert decode32 == ("decode float32 1 codes x 3 decoders x 3 frames sha256 "
+                        "ef72196650285d8487018d430b1b0abac29525dfc12926afcd598c21f3e8503d")
     assert sim == "run_fer 1 runs sha256 e07025834ace320010a796036473028d4b0161d550cd192985933ff40b4bb2de"
