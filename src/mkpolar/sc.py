@@ -22,20 +22,17 @@ LLR step returns and owns the contiguous block x[offset:offset+span] of one
 kernel combines the block in place, so once the root returns, x is x_hat.
 Every numpy LLR step writes into one slab per decode_batch call, a row block
 per depth plus one scratch, laid out once per decoder; for one frame the blocks
-are 1-D views, as x and u are. One float64 frame's nodes of span at most
-_LIST_SPAN walk Python lists (_decode_list) instead, as a float min or max
-costs tens of nanoseconds and a numpy call about a microsecond.
+are 1-D views, as x and u are. One frame's nodes of span at most _LIST_SPANS
+of its float type walk Python lists (_decode_list) instead, as a float min or
+max costs tens of nanoseconds and a numpy call about a microsecond.
 """
 
 from itertools import accumulate
-from math import prod
+from operator import floordiv
 
 import numpy as np
 
 from .kernels import KERNEL_STEPS, _run_stages, _stages
-
-# Largest node span one float64 frame decodes on Python lists; above it numpy's calls are cheaper.
-_LIST_SPAN = 27
 
 
 def f_op(l0, l1, out=None, scratch=None):
@@ -57,6 +54,10 @@ def f_op(l0, l1, out=None, scratch=None):
 
 
 _FLOAT32 = np.dtype(np.float32)
+# Largest node span one frame decodes on Python lists. Above 27 numpy's calls are cheaper. A float32
+# frame's nodes of span 3 or less have single-bit children, each one exact min, max or negation or one
+# sum of two float32 values: float64 keeps that sum's sign, which is all a bit decision reads.
+_LIST_SPANS = {np.dtype(np.float64): 27, _FLOAT32: 3}
 
 
 def _llr_dtype(llr):
@@ -75,7 +76,7 @@ def _real_llrs(llr):
 
 def _signs(u, out):
     """The factors (-1)^u = 1 - 2u of partial sums u, written into out in its float type."""
-    return np.add(np.multiply(u, -2, out=out, dtype=out.dtype), 1, out=out)
+    return np.subtract(1, np.add(u, u, out=out), out=out)
 
 
 def g_op(l0, l1, u0, out=None):
@@ -120,8 +121,8 @@ class _TreeDecoder:
     which a subclass that fills `_leaves` must define, on (batch, span) views
     of the node's blocks, (span,) for one frame; every other node recurses
     down to single-bit decisions, its LLR steps writing into the call's slab.
-    One float64 frame's nodes of span at most _LIST_SPAN recurse on Python
-    lists (_decode_list), through the same steps and leaf decoder. A decode
+    One frame's nodes of span at most _LIST_SPANS of its float type recurse on
+    Python lists (_decode_list), through the same steps and leaf decoder. A decode
     keeps its state in the arrays it allocates, never on the instance, so one
     decoder may serve any number of threads at once.
     """
@@ -132,12 +133,12 @@ class _TreeDecoder:
         self._leaves = {}
         kv = spec.kernels  # a depth-d node combines by the first stage of kv[d:]
         self._combines = [_stages(False, *kv[depth:])[:1] for depth in range(len(kv))]
+        sizes = list(accumulate(kv, floordiv, initial=spec.n_bits))  # a depth-d node's span
         # Slab rows: a scratch block, then one out block per depth (whose steps use a scratch prefix).
-        spans = [spec.n_bits // prod(kv[: depth + 1]) for depth in range(len(kv))]
-        starts = list(accumulate([spans[0], *spans]))
+        starts = list(accumulate([sizes[1], *sizes[1:]]))
         self._slab_rows = starts[-1]
-        self._slab_blocks = [(slice(start, start + span), slice(span))
-                             for start, span in zip(starts, spans)]
+        self._slab_blocks = [(slice(a, a + span), slice(span)) for a, span in zip(starts, sizes[1:])]
+        self._list_depths = {dtype: sum(size > top for size in sizes) for dtype, top in _LIST_SPANS.items()}
 
     def decode(self, llr):
         """Decode one frame; returns (u_hat, x_hat) with x_hat the root partial sums.
@@ -175,15 +176,16 @@ class _TreeDecoder:
         if not (llrs.flags.f_contiguous and -bound <= low and llrs.max(initial=-np.inf) <= bound):
             alpha = np.clip(alpha, -bound, bound, out=np.empty_like(alpha, order="C"))
         u, x = np.empty((2, *alpha.shape), dtype=np.uint8)
-        frames = 0 if len(llrs) == 1 else slice(None)  # one frame walks 1-D views
+        # One frame walks 1-D views, and needs blocks only above its first depth of span <= _LIST_SPANS.
+        frames, depths = (0, self._list_depths[alpha.dtype]) if len(llrs) == 1 else (slice(None), None)
         slab = np.empty((self._slab_rows, len(llrs)), dtype=alpha.dtype)[:, frames]
-        slabs = [(slab[out], slab[scratch]) for out, scratch in self._slab_blocks]
+        slabs = [(slab[out], slab[scratch]) for out, scratch in self._slab_blocks[:depths]]
         self._decode_node(alpha[:, frames], x[:, frames], u[:, frames], 0, 0, slabs)
         return (u.T, x.T) if llrs.flags.f_contiguous else (u.T.copy(), x.T.copy())
 
     def _decode_node(self, alpha, x, u, depth, offset, slabs):
         """Decode the node with (span, batch) LLRs alpha, (span,) for one frame, into x and u;
-        slabs[depth] holds the (out, scratch) blocks of the node's LLR steps."""
+        slabs[depth] holds the (out, scratch) blocks of the node's LLR steps, if it has any."""
         span = len(alpha)
         if span == 1:
             x[offset] = u[offset] = 0 if self._frozen[offset] else alpha[0] <= 0
@@ -193,7 +195,7 @@ class _TreeDecoder:
         if leaf is not None:
             self._decode_leaf(leaf, alpha.T, beta.T, u[offset : offset + span].T)
             return
-        if alpha.ndim == 1 and span <= _LIST_SPAN and alpha.dtype == np.float64:
+        if depth == len(slabs):  # one frame at its list depth
             beta[:], u[offset : offset + span] = self._decode_list(alpha.tolist(), depth, offset)
             return
 

@@ -80,6 +80,24 @@ def test_float32_fast_ssc_without_spc_equals_sc(kv, k):
 
 
 @pytest.mark.parametrize("kind", DECODERS)
+@pytest.mark.parametrize("kv", [(2, 3), (3, 2), (2, 2, 3), (3, 3, 2), (2, 2, 2, 2, 2, 3)], ids=str)
+def test_float32_frame_decides_as_in_a_batch(kind, kv, rng):
+    # One float32 frame computes its single bits' LLRs in float64, a batch in
+    # float32; each is one exact min/max or one sum, whose sign both types keep.
+    # Small integers give ties and exact zero sums, tiny and huge values sums
+    # that round differently in the two types.
+    n = math.prod(kv)
+    decoder = DECODERS[kind](design_code(kv, n // 2, ebn0_db=2.0))
+    values = np.array([0, 1, 2, 3, 1e-45, 1e-38, 1e-7, 1e7, 1e30, 1e35])
+    llrs = np.where(rng.random((300, n)) < 0.7, rng.choice(values, (300, n)), 4 * rng.standard_normal((300, n)))
+    llrs = (llrs * rng.choice([-1.0, 1.0], llrs.shape)).astype(np.float32)
+    u_batch, x_batch = decoder.decode_batch(llrs)
+    for frame, u_b, x_b in zip(llrs, u_batch, x_batch):
+        u_f, x_f = decoder.decode(frame)
+        assert np.array_equal(u_f, u_b) and np.array_equal(x_f, x_b)
+
+
+@pytest.mark.parametrize("kind", DECODERS)
 def test_float32_infinite_and_huge_llrs_saturate(kind, rng):
     spec = design_code((2, 2, 2, 2, 2, 3), 48)
     decoder = DECODERS[kind](spec)
@@ -151,8 +169,8 @@ class FloatArrayLog:
 def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
     # A silent upcast would cost the float32 speed and fail nothing else. One
     # float64 frame walks its nodes of span <= 27 on lists, whose Python floats
-    # are float64; a float32 frame never takes that list form.
-    seen = {}
+    # are float64; a float32 frame takes that list form only for single bits.
+    seen, lengths = {}, []
 
     def log_output(name):
         original = getattr(sc, name)
@@ -160,6 +178,7 @@ def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
         def wrapper(*args):
             result = original(*args)
             types = {type(v) for v in result} if isinstance(result, list) else {result.dtype}
+            lengths.extend([len(result)] if isinstance(result, list) else [])
             seen.setdefault(name, set()).update(types)
             return result
 
@@ -182,6 +201,9 @@ def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
     assert set(seen) == expected
     if dtype == np.float64:
         assert all(seen.pop(name) in ({float}, {float, np.dtype(dtype)}) for name in STEPS), seen
+    else:
+        assert set(lengths) <= {1} and (lengths or kind != "sc"), lengths
+        assert all(seen.pop(name) - {float} == {np.dtype(dtype)} for name in STEPS), seen
     assert all(types == {np.dtype(dtype)} for types in seen.values()), seen
     if kind != "sc":
         assert {"rate1", "rep3a", "rep3c"} <= used and ("spc" in used) == (kind == "fastssc")
