@@ -10,21 +10,22 @@ specialized step instead of being traversed:
 
 Ternary kernels leave the repeated bit in only part of the codeword, so REP
 nodes carry a mask P_v (kernels.rep_pattern, the codeword of (0, ..., 0, 1))
-and decode by one pattern sum, alpha @ P_v. REP2 nodes are all-binary, REP3A
-all-ternary, REP3B/REP3C have their ternary stages first/last; the classes
-differ only in which nodes are recognized (and counted in Table 2).
+and decide on the LLRs at P_v's ones, summed left to right in their float
+type, so a frame decides alike alone and in any batch. REP2 nodes are
+all-binary, REP3A all-ternary, REP3B/REP3C have their ternary stages
+first/last; the classes differ only in which nodes are recognized (and
+counted in Table 2).
 
 FastSSCDecoder runs the same tree walk as SCDecoder (sc._TreeDecoder); the
-schedule's multi-bit leaves replace the subtrees they prune, each writing
-its codeword and sourceword bits into the slices the walk hands it (for a
-float64 frame's leaf under a list-walked node, rows of a small array that the
-walk reads back into its lists). Rate-1
-and SPC leaves take their hard decisions as a uint8 view of the comparison
-and recover their sourceword bits by one inverse stage transform each. They
-decide a tied (zero) LLR on the codeword bit, where SC decides the sourceword
-bit, so without SPC the decoder is bit-exact to SC for tie-free LLRs only; on
-ties both return valid codewords. The leaf decoders, like the LLR steps,
-compute in float32 for float32 LLRs and in float64 otherwise.
+schedule's multi-bit leaves replace the subtrees they prune. Each leaf decoder
+takes the walk's frames-last LLR block, (span, batch), or one frame's (span,)
+(a list under a list-walked node), and returns its codeword and sourceword bits
+in that shape. Rate-1 and SPC leaves get the sourceword from their boolean hard
+decisions by one inverse stage transform each. They decide a tied (zero) LLR
+on the codeword bit, where SC decides the sourceword bit, so without SPC the
+decoder is bit-exact to SC for tie-free LLRs only; on ties both return valid
+codewords. The leaf decoders, like the LLR steps, compute in float32 for
+float32 LLRs and in float64 otherwise.
 """
 
 import itertools
@@ -218,43 +219,40 @@ def _shared_pattern(kv_sub):
 
 
 def decode_rate1(alpha, kv_sub):
-    """Rate-1: beta = hard decisions, sourceword recovered by the inverse stage transform."""
+    """Rate-1 on (span, batch) LLRs, (span,) for one frame: the hard decisions beta and
+    the sourceword from them by the inverse stage transform, both in alpha's shape."""
     alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
-    beta = (alpha <= 0.0).view(np.uint8)
-    return beta, stage_transform(beta, kv_sub, inverse=True)
+    beta = alpha <= 0.0
+    return beta.view(np.uint8), stage_transform(beta.T, kv_sub, inverse=True).T
 
 
 def decode_spc(alpha, kv_sub):
-    """Single parity check: hard decisions, then flip the least reliable bit
-    if the overall parity is odd. Maximum likelihood for this subcode."""
+    """Single parity check on (span, batch) LLRs, (span,) for one frame: hard decisions with
+    each frame's least reliable bit flipped if its parity is odd, maximum likelihood."""
     alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
-    span = alpha.shape[-1]
-    flat = alpha.reshape(-1, span)
-    beta = (flat <= 0.0).view(np.uint8)
-    if len(beta) == 1:
+    beta = alpha <= 0.0
+    if beta.ndim == 1:
         if np.count_nonzero(beta) & 1:
-            beta[0, np.abs(flat).argmin()] ^= 1
+            beta[np.abs(alpha).argmin()] ^= True
     else:
-        parity = np.bitwise_xor.reduce(beta, axis=-1)
-        beta[np.arange(len(beta)), np.abs(flat).argmin(axis=-1)] ^= parity
-    beta = beta.reshape(alpha.shape)
-    return beta, stage_transform(beta, kv_sub, inverse=True)
+        parity = np.bitwise_xor.reduce(beta, axis=0)
+        beta[np.abs(alpha).argmin(axis=0), np.arange(beta.shape[1])] ^= parity
+    return beta.view(np.uint8), stage_transform(beta.T, kv_sub, inverse=True).T
 
 
 def decode_rep(alpha, pattern):
-    """Repetition decode: hard decision on the pattern-masked LLR sum alpha @ P_v.
-
-    The repeated bit is the node's last sourceword bit; beta is that bit
-    times the pattern.
-    """
-    # one BLAS sum order for any layout, in the LLRs' float type
-    alpha = np.array(alpha, dtype=_llr_dtype(alpha), order="C")
-    pattern = np.asarray(pattern, dtype=np.uint8)
-    bit = (np.asarray(alpha @ pattern.astype(alpha.dtype)) <= 0).astype(np.uint8)
-    beta = bit[..., np.newaxis] * pattern
+    """Repetition decode on (span, batch) LLRs, (span,) for one frame: the bit decides the
+    LLRs at the pattern's ones summed left to right in their float type. u_hat is the bit
+    last, beta the bit times the pattern, both in alpha's shape."""
+    alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
+    ones = np.asarray(pattern, dtype=bool)
+    terms = alpha[ones]
+    # numpy adds a block's rows in order but a lone frame's values pairwise; accumulate never pairs.
+    total = np.add.accumulate(terms)[-1] if terms.size == len(terms) else np.add.reduce(terms, axis=0)
+    bit = total <= 0
     u_hat = np.zeros(alpha.shape, dtype=np.uint8)
-    u_hat[..., -1] = bit
-    return beta, u_hat
+    u_hat[-1] = bit
+    return np.multiply.outer(ones, bit).view(np.uint8), u_hat
 
 
 class FastSSCDecoder(_TreeDecoder):
@@ -272,8 +270,8 @@ class FastSSCDecoder(_TreeDecoder):
         self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
     def _decode_leaf(self, node, alpha, beta, u):
-        """Decode a multi-bit leaf with (batch, span) LLRs alpha, or one frame's (span,),
-        into its slices beta and u; a REP sum of one frame runs as a batch of one."""
+        """Decode a multi-bit leaf from its (span, batch) LLRs alpha, (span,) or a list
+        for one frame, into the walk's blocks beta and u of the same shape."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
             beta[...] = 0
@@ -283,4 +281,4 @@ class FastSSCDecoder(_TreeDecoder):
         elif cls is NodeClass.SPC:
             beta[...], u[...] = decode_spc(alpha, node.kv_sub)
         else:
-            beta[...], u[...] = decode_rep(alpha.reshape(-1, node.span), node.pattern)
+            beta[...], u[...] = decode_rep(alpha, node.pattern)

@@ -39,8 +39,11 @@ def _as_integer(name, value, low=-inf, high=inf):
 
 
 def _as_bits(name, values):
-    """values as an array; an entry other than 0 or 1 raises a one-line ValueError naming it."""
+    """values as an array; an entry other than 0 or 1 raises a one-line ValueError naming it.
+    A bool array is not scanned, an unsigned one only for its max."""
     values = np.asarray(values)
+    if values.dtype.kind == "b" or values.dtype.kind == "u" and values.max(initial=0) <= 1:
+        return values
     bad = (values != 0) & (values != 1)
     if bad.any():
         position = np.argwhere(bad)[0].tolist()
@@ -129,22 +132,20 @@ def stage_transform(bits, kv, inverse=False):
     """Multiply by the generator, the Kronecker product of the kernels in kv order (by its
     inverse when ``inverse`` is set), in O(N log N) in-place row XORs, stage by stage.
 
-    Accepts a trailing axis of length N; leading axes are a batch, whose XORs run on one
-    frames-last (N, batch) copy, each a contiguous run; the result keeps the input's
-    memory order. A single frame, 1-D or with every leading axis of length 1, is
-    transformed in its own C-ordered copy, which is returned.
+    Takes 0/1 entries (_as_bits) on a trailing axis of length N; leading axes are a batch,
+    whose XORs run on one frames-last (N, batch) copy, each a contiguous run, returned as
+    its transposed view for an F-contiguous batch and as a C-ordered copy otherwise. A single
+    frame, 1-D or with every leading axis of length 1, is transformed in its own C copy.
     """
     stages = _stages(inverse, *kv)
-    bits = np.asarray(bits)
+    bits = _as_bits("bits", bits)
     n = prod(stages[0][0])
     if bits.shape[-1:] != (n,):
         raise ValueError(f"input shape {bits.shape} does not end in the code length {n}")
     if bits.size == n:
         return _run_stages(np.array(bits, dtype=np.uint8, order="C"), stages, ())
     x = _run_stages(np.array(bits.T, dtype=np.uint8, order="C"), stages, bits.T.shape[1:])
-    out = np.empty_like(bits, dtype=np.uint8)
-    out.T[...] = x
-    return out
+    return x.T if bits.flags.f_contiguous else x.T.copy()
 
 
 def rep_pattern(kv):

@@ -118,8 +118,8 @@ class _TreeDecoder:
 
     Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves`
     is decoded in one step by `self._decode_leaf(node, alpha, beta, u)`,
-    which a subclass that fills `_leaves` must define, on (batch, span) views
-    of the node's blocks, (span,) for one frame; every other node recurses
+    which a subclass that fills `_leaves` must define, on the node's own
+    (span, batch) blocks, (span,) for one frame; every other node recurses
     down to single-bit decisions, its LLR steps writing into the call's slab.
     One frame's nodes of span at most _LIST_SPANS of its float type recurse on
     Python lists (_decode_list), through the same steps and leaf decoder. A decode
@@ -193,7 +193,7 @@ class _TreeDecoder:
         beta = x[offset : offset + span]
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
-            self._decode_leaf(leaf, alpha.T, beta.T, u[offset : offset + span].T)
+            self._decode_leaf(leaf, alpha, beta, u[offset : offset + span])
             return
         if depth == len(slabs):  # one frame at its list depth
             beta[:], u[offset : offset + span] = self._decode_list(alpha.tolist(), depth, offset)
@@ -226,7 +226,7 @@ class _TreeDecoder:
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
             beta, u = np.empty(span, dtype=np.uint8), np.empty(span, dtype=np.uint8)
-            self._decode_leaf(leaf, np.array(alpha), beta, u)
+            self._decode_leaf(leaf, alpha, beta, u)
             return beta.tolist(), u.tolist()
         k = self.spec.kernels[depth]
         q = span // k

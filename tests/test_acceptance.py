@@ -170,9 +170,9 @@ def test_criterion_05_spc_is_ml():
         )
         signs = (1.0 - 2.0 * words).astype(np.float64)
         alpha = rng.normal(0, 1.5, (1000, span))
-        beta, _ = decode_spc(alpha, kv)
+        beta, _ = decode_spc(alpha.T, kv)
         ml = words[np.argmax(signs @ alpha.T, axis=0)]
-        mismatches += int((beta != ml).any(axis=1).sum())
+        mismatches += int((beta.T != ml).any(axis=1).sum())
     _report(5, "spc-ml-optimality", mismatches == 0, f"{mismatches} mismatched vectors")
 
 

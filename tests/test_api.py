@@ -57,6 +57,14 @@ def integer_rule_lines(source):
     return lines
 
 
+def matrix_product_lines(source):
+    """Lines of a module that take a matrix product: `@` or a numpy product function."""
+    products = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in products)
+
+
 def test_readme_has_a_library_example():
     assert any("from mkpolar import" in block for block in readme_examples())
 
@@ -76,3 +84,12 @@ def test_kernels_as_integer_is_the_only_integer_rule():
                  if path.name != "kernels.py" and (lines := integer_rule_lines(path.read_text()))}
     assert offenders == {}
     assert integer_rule_lines((PACKAGE / "kernels.py").read_text())
+
+
+def test_no_module_takes_a_matrix_product():
+    # A BLAS build picks its own summation order and threads, so a decision made
+    # through a product could change with the machine; decoding sums in numpy's order.
+    offenders = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                 if (lines := matrix_product_lines(path.read_text()))}
+    assert offenders == {}
+    assert matrix_product_lines("x = a @ b\nx @= b\ny = np.einsum('i,i', a, b)\n") == [1, 2, 3]

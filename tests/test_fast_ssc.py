@@ -273,18 +273,18 @@ class TestDecodeRate1:
     def test_uhat_paths_agree(self, kv, rng):
         n = int(np.prod(kv))
         alpha = rng.normal(0, 2, (200, n))
-        beta, u = decode_rate1(alpha, kv)
-        assert np.array_equal(u, rate1_uhat_matrix(beta, kv))
+        beta, u = decode_rate1(alpha.T, kv)
+        assert np.array_equal(u.T, rate1_uhat_matrix(beta.T, kv))
 
     @pytest.mark.parametrize("kv", [(3,), (3, 3), (2, 3), (3, 2, 2), (3, 3, 3)], ids=str)
     def test_matches_sc_on_unfrozen_subtree(self, kv, rng):
         spec = rate1_spec(kv)
         alpha = rng.normal(0, 2, (500, spec.n_bits))
         alpha[alpha == 0] = 0.1
-        beta, u = decode_rate1(alpha, kv)
+        beta, u = decode_rate1(alpha.T, kv)
         u_sc, x_sc = SCDecoder(spec).decode_batch(alpha)
-        assert np.array_equal(u, u_sc)
-        assert np.array_equal(beta, x_sc)
+        assert np.array_equal(u.T, u_sc)
+        assert np.array_equal(beta.T, x_sc)
 
 
 class TestDecodeSPC:
@@ -303,8 +303,8 @@ class TestDecodeSPC:
     @pytest.mark.parametrize("kv", [(2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 3)], ids=str)
     def test_parity_always_even(self, kv, rng):
         n = int(np.prod(kv))
-        beta, _ = decode_spc(rng.normal(0, 1, (300, n)), kv)
-        assert not (np.bitwise_xor.reduce(beta, axis=1)).any()
+        beta, _ = decode_spc(rng.normal(0, 1, (300, n)).T, kv)
+        assert not (np.bitwise_xor.reduce(beta.T, axis=1)).any()
 
     @pytest.mark.parametrize("kv", [(2, 2), (3,), (2, 3), (2, 2, 2), (3, 2, 2)], ids=str)
     def test_matches_exhaustive_ml(self, kv, rng):
@@ -315,28 +315,28 @@ class TestDecodeSPC:
         )
         signs = 1.0 - 2.0 * words
         alpha = rng.normal(0, 1.5, (200, n))
-        beta, _ = decode_spc(alpha, kv)
+        beta, _ = decode_spc(alpha.T, kv)
         ml = words[np.argmax(signs @ alpha.T, axis=0)]
-        assert np.array_equal(beta, ml)
+        assert np.array_equal(beta.T, ml)
 
 
 @pytest.mark.parametrize("kv", [(2,), (3,), (2, 3), (3, 3), (2, 3, 3)], ids=str)
 def test_leaf_decoders_agree_across_layouts(kv, rng):
-    # A 1-D frame, a (1, span) row, a C-ordered batch and the walk's F-ordered
-    # view of its frames-last block decode alike; integer LLRs bring ties.
+    # A 1-D frame, a (span, 1) column, a C-ordered (span, batch) block and a
+    # column slice of a wider block decode alike; integer LLRs bring ties.
     span = int(np.prod(kv))
-    alpha = rng.integers(-2, 3, (40, span)).astype(float)
-    alpha[20:] = rng.normal(0, 2, (20, span))
-    walk = np.ascontiguousarray(alpha.T).T
+    wide = rng.integers(-2, 3, (span, 50)).astype(float)
+    wide[:, 25:] = rng.normal(0, 2, (span, 25))
+    block = wide[:, 5:45].copy()
     for decode, arg in ((decode_rate1, kv), (decode_spc, kv), (decode_rep, rep_pattern(kv))):
-        beta, u = decode(alpha, arg)
-        for other in (decode(walk, arg), decode(np.ascontiguousarray(walk), arg)):
-            assert np.array_equal(other[0], beta) and np.array_equal(other[1], u)
-        for i in range(len(alpha)):
-            for frame in (alpha[i], alpha[i : i + 1], walk[i : i + 1]):
+        beta, u = decode(block, arg)
+        b, s = decode(wide[:, 5:45], arg)
+        assert np.array_equal(b, beta) and np.array_equal(s, u)
+        for i in range(block.shape[1]):
+            for frame in (block[:, i], block[:, i : i + 1], wide[:, 5 + i : 6 + i]):
                 b, s = decode(frame, arg)
                 assert b.shape == s.shape == frame.shape
-                assert np.array_equal(b.reshape(-1), beta[i]) and np.array_equal(s.reshape(-1), u[i])
+                assert np.array_equal(b.reshape(-1), beta[:, i]) and np.array_equal(s.reshape(-1), u[:, i])
 
 
 class TestDecodeRep:
@@ -371,10 +371,44 @@ class TestDecodeRep:
         spec = rep_spec(kv)
         assert build_schedule(spec).root.node_class is cls
         alpha = rng.normal(0, 2, (500, spec.n_bits))
-        beta, u = decode_rep(alpha, rep_pattern(kv))
+        beta, u = decode_rep(alpha.T, rep_pattern(kv))
         u_sc, x_sc = SCDecoder(spec).decode_batch(alpha)
-        assert np.array_equal(u, u_sc)
-        assert np.array_equal(beta, x_sc)
+        assert np.array_equal(u.T, u_sc)
+        assert np.array_equal(beta.T, x_sc)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kv", [(2,) * 8, (3, 3, 3), (3, 2, 2)], ids=str)
+    def test_sum_runs_left_to_right_alone_and_in_any_batch(self, kv, dtype, rng):
+        # Each frame's terms at the pattern's ones are values from 1e-8 to 1e30 and their
+        # negations in shuffled order: the exact sum is 0, so the sign of the float sum is
+        # its rounding, which any other order (pairwise, BLAS) changes for some frames.
+        pattern = rep_pattern(kv)
+        ones = np.flatnonzero(pattern)
+        frames = 1024
+        values = 10.0 ** rng.uniform(-8, 30, (len(ones) // 2, frames))
+        terms = np.concatenate([values, -values])
+        alpha = np.full((len(pattern), frames), np.nan)
+        alpha[ones] = rng.permuted(terms, axis=0)
+        alpha[pattern == 0] = 1e30
+        alpha = alpha.astype(dtype)
+        bits = []
+        for frame in alpha.T:
+            total = frame[ones[0]]
+            for j in ones[1:]:
+                total = total + frame[j]  # numpy scalars: each sum rounds to dtype
+            bits.append(total <= 0)
+        assert 0 < sum(bits) < frames  # the test data decides both ways
+        want_beta = np.multiply.outer(pattern, np.array(bits, dtype=np.uint8))
+        for batch in (2, 3, 37, 1024):
+            for start in range(0, frames, batch):
+                beta, u = decode_rep(alpha[:, start : start + batch], pattern)
+                assert np.array_equal(beta, want_beta[:, start : start + batch])
+                assert np.array_equal(u[-1], bits[start : start + batch]) and not u[:-1].any()
+        for i in range(frames):
+            for frame in (alpha[:, i], alpha[:, i : i + 1]):
+                beta, u = decode_rep(frame, pattern)
+                assert beta.dtype == u.dtype == np.uint8 and beta.shape == u.shape == frame.shape
+                assert np.array_equal(beta.reshape(-1), want_beta[:, i]) and u.reshape(-1)[-1] == bits[i]
 
 
 def _random_noisy_frames(spec, count, rng, snr_scale=1.0):

@@ -166,6 +166,15 @@ def test_stage_transform_rejects_bad_input_after_a_cached_plan():
         stage_transform(np.zeros((2, 5), dtype=np.uint8), (2, 3))
 
 
+@pytest.mark.parametrize("bits", ([0.5, 1], [2, 0], [-1, 0], np.array([0, 2], dtype=np.uint8)), ids=str)
+def test_stage_transform_rejects_entries_other_than_0_or_1(bits):
+    # A cast to uint8 would take 0.5 for 0, -1 for 255, and return no codeword.
+    with pytest.raises(ValueError, match=r"bits entry \[[01]\] is (0\.5|2|-1), not 0 or 1"):
+        stage_transform(bits, (2,))
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        stage_transform(np.tile(bits, (3, 1)), (2,), inverse=True)
+
+
 def test_validate_kernel_vector_rejects():
     with pytest.raises(ValueError):
         validate_kernel_vector(())
