@@ -17,8 +17,8 @@ def expand_message(a, spec):
     input; raises ValueError on any entry other than 0 or 1.
     """
     a = _as_bits("message", a)
-    if a.shape[-1] != spec.k_bits:
-        raise ValueError(f"message length {a.shape[-1]} != K = {spec.k_bits}")
+    if a.shape[-1:] != (spec.k_bits,):
+        raise ValueError(f"message shape {a.shape} does not end in K = {spec.k_bits}")
     u = np.zeros_like(a, dtype=np.uint8, shape=a.shape[:-1] + (spec.n_bits,))
     u[..., spec.info_indices] = a
     return u

@@ -53,8 +53,11 @@ def _as_bits(name, values):
 
 def validate_kernel_vector(kv):
     """Return kv as a tuple of ints: nonempty, each 2 or 3, product at most MAX_CODE_LENGTH.
-    Each entry is taken by _as_integer."""
-    kv = tuple([_as_integer("kernel size", k, 2, 3) for k in kv])
+    Each entry is taken by _as_integer; a kv that is not iterable raises ValueError."""
+    try:
+        kv = tuple([_as_integer("kernel size", k, 2, 3) for k in kv])
+    except TypeError:
+        raise ValueError(f"kernel vector {kv!r} is not a sequence") from None
     if not kv:
         raise ValueError("kernel vector must be nonempty")
     if prod(kv) > MAX_CODE_LENGTH:
@@ -137,7 +140,11 @@ def stage_transform(bits, kv, inverse=False):
     its transposed view for an F-contiguous batch and as a C-ordered copy otherwise. A single
     frame, 1-D or with every leading axis of length 1, is transformed in its own C copy.
     """
-    stages = _stages(inverse, *kv)
+    try:
+        stages = _stages(inverse, *kv)
+    except TypeError:  # kv not iterable, or an entry not hashable: say so in one line
+        validate_kernel_vector(kv)
+        raise
     bits = _as_bits("bits", bits)
     n = prod(stages[0][0])
     if bits.shape[-1:] != (n,):

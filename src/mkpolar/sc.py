@@ -23,8 +23,9 @@ kernel combines the block in place, so once the root returns, x is x_hat.
 Every numpy LLR step writes into one slab per decode_batch call, a row block
 per depth plus one scratch, laid out once per decoder; for one frame the blocks
 are 1-D views, as x and u are. One frame's nodes of span at most _LIST_SPANS
-of its float type walk Python lists (_decode_list) instead, as a float min or
-max costs tens of nanoseconds and a numpy call about a microsecond.
+of its float type walk Python lists (_decode_list) instead, as a list step costs
+tens of nanoseconds per element and a numpy call about a microsecond; there a node
+of span 2 or 3 decides each single-bit child after its step, as not frozen and llr <= 0.
 """
 
 from itertools import accumulate
@@ -38,16 +39,22 @@ from .kernels import KERNEL_STEPS, _run_stages, _stages
 def f_op(l0, l1, out=None, scratch=None):
     """Min-sum box-plus: sign(l0) sign(l1) min(|l0|, |l1|).
 
-    Computed as max(min(l0, l1), -max(l0, l1)), the same value in four exact
-    numpy passes with no product, so no input overflows or warns as l0 * l1
-    would at 1e308 or inf * 0. Only a zero's sign may differ: f(+0, -0) is +0.
-    Each LLR step has two forms, both with the same values. Given arrays, it
-    writes its result to out (which may be l0) and its intermediates to
-    scratch, both of the result's shape and float type, and returns out.
-    Given lists of floats (and of 0/1 partial sums), it returns a list.
+    The value of max(min(l0, l1), -max(l0, l1)), exact and with no product, so
+    no input overflows or warns as l0 * l1 would at 1e308 or inf * 0. Only a
+    zero's sign may differ: f(+0, -0) is +0. Each LLR step has two forms, both
+    with the same values. Given arrays, it takes four numpy passes, writes its
+    result to out (which may be l0) and its intermediates to scratch, both of
+    the result's shape and float type, and returns out. Given lists of floats
+    (and of 0/1 partial sums), it returns a list, with the formula's zero signs
+    too, from comparisons alone: swap so that a <= b, then a if a >= -b else -b.
     """
     if isinstance(l0, list):
-        return [max(min(a, b), -max(a, b)) for a, b in zip(l0, l1)]
+        out = []
+        for a, b in zip(l0, l1):
+            if a > b:
+                a, b = b, a
+            out.append(a if a >= -b else -b)
+        return out
     high = np.negative(np.maximum(l0, l1, out=scratch), out=scratch)
     np.minimum(l0, l1, out=out)
     return np.maximum(out, high, out=out)
@@ -122,7 +129,8 @@ class _TreeDecoder:
     (span, batch) blocks, (span,) for one frame; every other node recurses
     down to single-bit decisions, its LLR steps writing into the call's slab.
     One frame's nodes of span at most _LIST_SPANS of its float type recurse on
-    Python lists (_decode_list), through the same steps and leaf decoder. A decode
+    Python lists (_decode_list), through the same steps and leaf decoder; a node
+    of span 2 or 3 decides its single bits itself and XORs them. A decode
     keeps its state in the arrays it allocates, never on the instance, so one
     decoder may serve any number of threads at once.
     """
@@ -218,11 +226,9 @@ class _TreeDecoder:
 
     def _decode_list(self, alpha, depth, offset):
         """The node's (x, u) blocks as lists, from one frame's LLRs alpha as a list of floats:
-        _decode_node's walk, with each kernel combine as list XORs of its KERNEL_STEPS."""
+        _decode_node's walk, each kernel combine as XORs of its KERNEL_STEPS, except that a
+        node of span 2 or 3 decides each single-bit child itself, after that child's step."""
         span = len(alpha)
-        if span == 1:
-            bit = not self._frozen[offset] and alpha[0] <= 0
-            return [bit], [bit]
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
             beta, u = np.empty(span, dtype=np.uint8), np.empty(span, dtype=np.uint8)
@@ -231,6 +237,18 @@ class _TreeDecoder:
         k = self.spec.kernels[depth]
         q = span // k
         l0, l1, l2 = alpha[:q], alpha[q : 2 * q], alpha[2 * q :]
+        if q == 1:
+            (llr,) = f_op(l0, l1) if k == 2 else lambda0(l0, l1, l2)
+            u = [not self._frozen[offset] and llr <= 0]
+            (llr,) = g_op(l0, l1, u) if k == 2 else lambda1(l0, l1, l2, u)
+            u.append(not self._frozen[offset + 1] and llr <= 0)
+            if k == 3:
+                (llr,) = lambda2(l1, l2, u, u[1:])
+                u.append(not self._frozen[offset + 2] and llr <= 0)
+            x = u.copy()
+            for a, b in KERNEL_STEPS[k]:
+                x[a] ^= x[b]
+            return x, u
         x0, u0 = self._decode_list(f_op(l0, l1) if k == 2 else lambda0(l0, l1, l2), depth + 1, offset)
         if k == 2:
             x1, u1 = self._decode_list(g_op(l0, l1, x0), depth + 1, offset + q)

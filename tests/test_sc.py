@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -226,6 +228,22 @@ def test_llr_step_list_form_equals_numpy_form(step, rng):
     assert_same_llrs(got, want)
 
 
+def test_list_boxplus_keeps_the_builtin_forms_values_and_zero_signs():
+    # The list form compares instead of calling the builtins; every value and every zero
+    # sign must be the old formula's, which assert_same_llrs (+0 == -0) cannot see.
+    def builtin_boxplus(l0, l1):
+        return [max(min(a, b), -max(a, b)) for a, b in zip(l0, l1)]
+
+    def signed(values):
+        return [(v, math.copysign(1.0, v)) for v in values]
+
+    edges = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, BOUND, -BOUND, TINY, -TINY]
+    pairs = [list(column) for column in zip(*itertools.product(edges, repeat=2))]
+    assert signed(f_op(*pairs)) == signed(builtin_boxplus(*pairs))
+    l0, l1, l2 = [list(column) for column in zip(*itertools.product(edges, repeat=3))]
+    assert signed(lambda0(l0, l1, l2)) == signed(builtin_boxplus(builtin_boxplus(l0, l1), l2))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("kind", DECODERS)
 @pytest.mark.parametrize("kv", [(2, 3, 2, 3, 2, 3), (2, 2, 2, 2, 3, 3, 3), (3, 3, 3, 2, 2)], ids=str)
@@ -293,6 +311,25 @@ def test_decoder_matches_naive_oracle(kv, rng):
         want_u, want_x = naive_sc(spec, llr)
         assert np.array_equal(got_u, want_u)
         assert np.array_equal(got_x, want_x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kv", [(2,), (3,), (3, 2, 2), (2, 2, 3), (2, 3, 3, 2), (3, 3, 2, 2, 3)], ids=str)
+def test_single_bits_decide_ties_and_frozen_bits_as_naive_sc(kv, dtype, rng):
+    # One frame's nodes of span 2 or 3 decide their single-bit children themselves: an
+    # LLR of exactly +-0 decides 1 on an unfrozen bit, a frozen bit is 0 under any LLR.
+    # Small integers give ties, exact zero sums and equal magnitudes, all exact in float32.
+    n = math.prod(kv)
+    for _ in range(20):
+        spec = spec_with_frozen(kv, rng.integers(0, 2, n))
+        decoder = SCDecoder(spec)
+        llrs = rng.choice([0.0, -0.0, 1.0, -1.0, -1.0, 2.0, -2.0], (2, n)).astype(dtype)
+        u_batch, x_batch = decoder.decode_batch(llrs)
+        for frame, u_b, x_b in zip(llrs, u_batch, x_batch):
+            u, x = decoder.decode(frame)
+            want_u, want_x = naive_sc(spec, frame)
+            assert np.array_equal(u, want_u) and np.array_equal(x, want_x)
+            assert np.array_equal(u, u_b) and np.array_equal(x, x_b)
 
 
 class TestDecodeSC:
