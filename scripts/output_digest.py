@@ -21,6 +21,10 @@ run_fer  the rows of 96 run_fer runs: N 96 and 432 (K = N/2, last ordering,
          designed at 3 dB) x both decoders x seeds 0-2 x (workers,
          batch_size) in (1, 1024), (1, 37), (3, 100), (2, 64) x per-SNR
          redesign on and off, at Eb/N0 1.0 and 2.5 dB with StopRule(700, 60).
+front-end
+         what `mkpolar analyze --table2`, `--sweep-k 164` and `--sweep-n 768`
+         print at their default flags, as CSV and as JSON, and the
+         schedule export_lines() of the 36 design codes.
 
 --quick keeps the first entry of each axis and a few frames; its digests
 differ from the full ones, and tests/test_scripts.py pins them, so the
@@ -28,12 +32,16 @@ tier-1 suite catches a bit-level change to decoding or to the random stream.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 
 from mkpolar import FastSSCDecoder, NodeLimits, SCDecoder, StopRule, construct_code, run_fer
+from mkpolar.cli import main as cli_main
+from mkpolar.fast_ssc import build_schedule
 
 CODES = tuple(
     (n, round(n * rate), ordering)
@@ -51,6 +59,8 @@ SIM_DECODERS = ("sc", "fastssc")
 SIM_SEEDS = (0, 1, 2)
 SIM_BATCHING = ((1, 1024), (1, 37), (3, 100), (2, 64))
 SIM_REDESIGN = (True, False)
+REPORTS = (["--table2"], ["--sweep-k", "164"], ["--sweep-n", "768"])
+FORMATS = ("csv", "json")
 
 
 def frames(n, count, seed):
@@ -96,6 +106,20 @@ def run_fer_digest(lengths, decoders, seeds, batching, redesign):
     return runs, h.hexdigest()
 
 
+def front_end_digest(reports, formats, codes):
+    h = hashlib.sha256()
+    for report in reports:
+        for fmt in formats:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                if cli_main(["analyze", *report, "--format", fmt]) != 0:
+                    raise SystemExit(f"mkpolar analyze {' '.join(report)} failed")
+            h.update(out.getvalue().encode())
+    for code in codes:
+        h.update("\n".join(build_schedule(construct_code(*code)).export_lines()).encode())
+    return h.hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="a small subset, to check the script runs")
@@ -110,6 +134,9 @@ def main():
     runs, digest = run_fer_digest(first(SIM_LENGTHS), first(SIM_DECODERS), first(SIM_SEEDS),
                                   first(SIM_BATCHING), first(SIM_REDESIGN))
     print(f"run_fer {runs} runs sha256 {digest}")
+    reports, formats, codes = first(REPORTS), first(FORMATS), first(CODES)
+    digest = front_end_digest(reports, formats, codes)
+    print(f"front-end {len(reports)} reports x {len(formats)} formats, {len(codes)} schedules sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ def test_script_writes_one_row_per_snr(tmp_path, monkeypatch, capsys, script, ex
 def test_output_digest_quick_prints_both_digests(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["output_digest.py", "--quick"])
     runpy.run_path(str(SCRIPTS / "output_digest.py"), run_name="__main__")
-    decode, decode32, sim = capsys.readouterr().out.splitlines()
+    decode, decode32, sim, front_end = capsys.readouterr().out.splitlines()
     # Any bit-level change to decoding or to the random stream changes these.
     assert decode == ("decode 1 codes x 3 decoders x 3 frames sha256 "
                       "ef72196650285d8487018d430b1b0abac29525dfc12926afcd598c21f3e8503d")
@@ -43,3 +43,6 @@ def test_output_digest_quick_prints_both_digests(monkeypatch, capsys):
     assert decode32 == ("decode float32 1 codes x 3 decoders x 3 frames sha256 "
                         "ef72196650285d8487018d430b1b0abac29525dfc12926afcd598c21f3e8503d")
     assert sim == "run_fer 1 runs sha256 e07025834ace320010a796036473028d4b0161d550cd192985933ff40b4bb2de"
+    # Any change to what `analyze --table2` prints at its default flags, or to a schedule, changes this.
+    assert front_end == ("front-end 1 reports x 1 formats, 1 schedules sha256 "
+                         "a9cbeb4cec463df53a1abcb458b90523cafd70d2af4dce6d4324857fd35983a9")
