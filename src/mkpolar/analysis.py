@@ -33,10 +33,6 @@ class NodeCounts:
     rep3c: int
 
     @property
-    def rep3(self):
-        return self.rep3a + self.rep3b + self.rep3c
-
-    @property
     def reduction_pct(self):
         return 100.0 * (1.0 - self.fast_nodes / self.sc_nodes)
 
@@ -120,32 +116,29 @@ def table2_specs(ebn0_db=DEFAULT_DESIGN_EBN0_DB):
     return specs
 
 
-def sweep_fixed_k(k_bits=164, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB, limits=None):
-    """Complexity vs codeword length at fixed message size.
+def sweep_fixed_k(k_bits=164, ebn0_db=DEFAULT_DESIGN_EBN0_DB, limits=None):
+    """Complexity vs codeword length at fixed message size, over SWEEP_RATES.
 
     For each target rate the nearest supported length above K is used; the
     emitted R is the realized k/N.
     """
     # above this K no code fits, and for a huge K the search below would never end
     k_bits = _as_integer("K", k_bits, 1, MAX_CODE_LENGTH - 1)
-    rows = []
-    for rate in rates:
+    lengths = []
+    for rate in SWEEP_RATES:
         target = max(int(round(k_bits / rate)), k_bits + 1)
         below, above = nearest_valid_lengths(target)  # below is target itself when supported
-        n = below if (below > k_bits and target - below <= above - target) else above
-        for ordering in ("last", "first"):
-            spec = construct_code(n, k_bits, ordering, ebn0_db=ebn0_db)
-            rows.append(latency_row(spec, limits, ordering=ordering))
-    return rows
+        lengths.append(below if (below > k_bits and target - below <= above - target) else above)
+    return _sweep_rows([(n, k_bits) for n in lengths], ebn0_db, limits)
 
 
-def sweep_fixed_n(n_bits=768, rates=SWEEP_RATES, ebn0_db=DEFAULT_DESIGN_EBN0_DB, limits=None):
-    """Complexity vs rate at fixed codeword length."""
+def sweep_fixed_n(n_bits=768, ebn0_db=DEFAULT_DESIGN_EBN0_DB, limits=None):
+    """Complexity vs rate at fixed codeword length, over SWEEP_RATES."""
     n_bits = _as_integer("N", n_bits, 2, MAX_CODE_LENGTH)  # before n_bits * rate could take a str
-    rows = []
-    for rate in rates:
-        k = round(n_bits * rate)
-        for ordering in ("last", "first"):
-            spec = construct_code(n_bits, k, ordering, ebn0_db=ebn0_db)
-            rows.append(latency_row(spec, limits, ordering=ordering))
-    return rows
+    return _sweep_rows([(n_bits, round(n_bits * rate)) for rate in SWEEP_RATES], ebn0_db, limits)
+
+
+def _sweep_rows(pairs, ebn0_db, limits):
+    """A latency_row per (N, K) of pairs, for its last then its first ordering."""
+    return [latency_row(construct_code(n, k, ordering, ebn0_db=ebn0_db), limits, ordering=ordering)
+            for n, k in pairs for ordering in ("last", "first")]

@@ -22,7 +22,7 @@ import numpy as np
 from .construction import design_code, ebn0_db_to_linear
 from .encoding import expand_message
 from .fast_ssc import FastSSCDecoder
-from .kernels import MAX_CODE_LENGTH, _as_integer, stage_transform
+from .kernels import MAX_CODE_LENGTH, _as_bits, _as_integer, stage_transform
 from .sc import SCDecoder
 
 DECODER_KINDS = ("sc", "fastssc")
@@ -88,13 +88,19 @@ class SimStats:
 
 
 def modulate(bits):
-    """BPSK map: bit 0 -> +1.0, bit 1 -> -1.0."""
+    """BPSK map: bit 0 -> +1.0, bit 1 -> -1.0; an entry other than 0 or 1 raises ValueError."""
+    return _bpsk(_as_bits("bits", bits))
+
+
+def _bpsk(bits):
+    """modulate without its check, for the simulator's own codeword bits."""
     return 1.0 - 2.0 * np.asarray(bits, dtype=float)
 
 
 def noise_variance(ebn0_db, rate):
     """AWGN noise variance sigma^2 = 1 / (2 R Eb/N0) of BPSK at ebn0_db."""
-    return 1.0 / (2.0 * rate * ebn0_db_to_linear(ebn0_db, rate))
+    ebn0 = ebn0_db_to_linear(ebn0_db, rate)  # before rate enters any product
+    return 1.0 / (2.0 * rate * ebn0)
 
 
 def awgn_llr(symbols, sigma2, noise):
@@ -131,7 +137,7 @@ def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
         # A block's LLRs are computed frames-last while its noise is in cache;
         # they are saturated, then rounded once, so a huge LLR cannot overflow.
         noise = np.ascontiguousarray(rng.standard_normal((BLOCK_FRAMES, n))[taken].T)
-        np.clip(awgn_llr(modulate(x.T[:, rows]), sigma2, noise), -_FLOAT32_MAX, _FLOAT32_MAX,
+        np.clip(awgn_llr(_bpsk(x.T[:, rows]), sigma2, noise), -_FLOAT32_MAX, _FLOAT32_MAX,
                 out=llrs.T[:, rows])
     u_hat, _ = decoder.decode_batch(llrs)
     bad = u_hat.T != u.T

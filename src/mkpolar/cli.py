@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis
 from .channel import DECODER_KINDS, StopRule, _make_decoder, run_fer
-from .construction import CodeSpec, OrderingStrategy, construct_code, design_code
+from .construction import DEFAULT_DESIGN_EBN0_DB, CodeSpec, OrderingStrategy, construct_code, design_code
 from .encoding import encode_message
 from .fast_ssc import NodeLimits, build_schedule
 
@@ -45,6 +45,14 @@ ORDERINGS = {
 
 class CommandError(Exception):
     """Fatal usage or environment problem; message goes to stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose flag errors, like every other usage error, are one line and exit 2.
+    Subparsers are made of the same class, so `mkpolar <cmd>: <message>` names the command."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
 
 
 def save_code_spec(spec, path):
@@ -90,10 +98,15 @@ def emit_report(rows, fields, fmt="csv", path=None):
         text = json.dumps([{f: row[f] for f in fields} for row in rows], indent=2) + "\n"
     else:
         raise CommandError(f"unknown output format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    _write(text, path)
+
+
+def _write(text, path):
+    """text to the file path, or to stdout when path is None or empty."""
+    if path:
         Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _csv_cell(value):
@@ -252,34 +265,17 @@ def cmd_analyze(args):
 def cmd_schedule_export(args):
     spec = _build_code(args)
     lines = build_schedule(spec, _node_limits(args)).export_lines()
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
-
-
-COMMANDS = {
-    "construct": cmd_construct,
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "schedule-export": cmd_schedule_export,
-}
 
 
 def run_command(args):
     """Dispatch parsed arguments to their command; returns the process exit status."""
     try:
-        return COMMANDS[args.command](args)
-    except (CommandError, ValueError) as exc:
+        return args.run(args)
+    except (CommandError, ValueError, OSError) as exc:
         print(f"mkpolar {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"mkpolar {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
 
 
 def _add_code_args(p, with_spec=False):
@@ -287,50 +283,52 @@ def _add_code_args(p, with_spec=False):
     p.add_argument("--k", type=int, help="message length")
     p.add_argument("--kernels", help="explicit kernel vector, e.g. 2,2,3 (overrides --n/--order)")
     p.add_argument("--order", choices=sorted(ORDERINGS), default="last")
-    p.add_argument("--ebn0", type=float, default=3.0, help="construction Eb/N0 in dB")
+    p.add_argument("--ebn0", type=float, default=DEFAULT_DESIGN_EBN0_DB, help="construction Eb/N0 in dB")
     if with_spec:
         p.add_argument("--spec", help="load the code from a spec file instead of --n/--k")
 
 
 def _add_limit_args(p):
-    p.add_argument("--rep3a-max", type=int, default=27, choices=(3, 9, 27))
+    p.add_argument("--rep3a-max", type=int, default=NodeLimits.rep3a_max_span, metavar="SPAN",
+                   help="largest all-ternary REP node (default %(default)s)")
     p.add_argument("--no-spc", action="store_true", help="disable SPC nodes")
     p.add_argument("--general-rep", action="store_true", help="recognize REP nodes for any kernel mix")
 
 
-def _add_report_args(p):
-    p.add_argument("--out", help="output file (default stdout)")
+def _add_report_args(p, out_help="output file (default stdout)"):
+    p.add_argument("--out", help=out_help)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="mkpolar", description="Multi-kernel polar code toolkit"
-    )
+    parser = _Parser(prog="mkpolar", description="Multi-kernel polar code toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="design a code and write spec + reliability files")
+    p.set_defaults(run=cmd_construct)
     _add_code_args(p)
-    p.add_argument("--out", help="output directory (default $MKPOLAR_OUTDIR or .)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    _add_report_args(p, "output directory (default $MKPOLAR_OUTDIR or .)")
 
     p = sub.add_parser("encode", help="encode a message with a code")
+    p.set_defaults(run=cmd_encode)
     _add_code_args(p, with_spec=True)
     p.add_argument("--message", help="K bits as a 0/1 string, or '-' for stdin")
 
     p = sub.add_parser("decode", help="decode channel LLRs")
+    p.set_defaults(run=cmd_decode)
     _add_code_args(p, with_spec=True)
     p.add_argument("--llrs", dest="llr_path", help="file of whitespace/comma separated LLRs, '-' for stdin")
     p.add_argument("--decoder", choices=DECODER_KINDS, default="sc")
     _add_limit_args(p)
 
     p = sub.add_parser("simulate", help="Monte-Carlo FER/BER sweep")
+    p.set_defaults(run=cmd_simulate)
     _add_code_args(p)
     p.add_argument("--decoder", choices=DECODER_KINDS, default="sc")
     p.add_argument("--snr", help="Eb/N0 sweep: start:step:stop or comma list")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-errors", type=int, default=100)
-    p.add_argument("--max-frames", type=int, default=1_000_000)
+    p.add_argument("--min-errors", type=int, default=StopRule.min_frame_errors)
+    p.add_argument("--max-frames", type=int, default=StopRule.max_frames)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--fixed-construction",
@@ -341,14 +339,16 @@ def build_parser():
     _add_report_args(p)
 
     p = sub.add_parser("analyze", help="node-count / latency-reduction reports")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--table2", action="store_true", help="the 24 reference (N, R, ordering) rows")
     p.add_argument("--sweep-k", type=int, help="fixed-K sweep over rates 1/8..7/8")
     p.add_argument("--sweep-n", type=int, help="fixed-N sweep over rates 1/8..7/8")
-    p.add_argument("--ebn0", type=float, default=3.0)
+    p.add_argument("--ebn0", type=float, default=DEFAULT_DESIGN_EBN0_DB)
     _add_limit_args(p)
     _add_report_args(p)
 
     p = sub.add_parser("schedule-export", help="dump the pruned schedule as depth,offset,span,class")
+    p.set_defaults(run=cmd_schedule_export)
     _add_code_args(p, with_spec=True)
     _add_limit_args(p)
     p.add_argument("--out", help="output file (default stdout)")

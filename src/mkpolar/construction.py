@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import MAX_CODE_LENGTH, _as_bits, _as_integer, factor_length, validate_kernel_vector
+from .kernels import MAX_CODE_LENGTH, _as_bits, _as_integer, _as_real, factor_length, validate_kernel_vector
 
 _ALPHA = -0.4527
 _BETA = 0.0218
@@ -77,17 +77,17 @@ def _ga_stage(z, k):
 def ebn0_db_to_linear(ebn0_db, rate):
     """Linear Eb/N0 at code rate `rate`; the one conversion, shared by GA and the channel.
 
-    Raises ValueError unless 0 < rate < 1 and ebn0_db is a real number for which 4*R*Eb/N0
-    (the GA's initial mean and the channel's LLR scale 2/sigma^2) and its inverse are finite and positive.
+    Raises ValueError unless rate and ebn0_db are real numbers (_as_real), 0 < rate < 1, and
+    4*R*Eb/N0 (the GA's initial mean and the channel's LLR scale 2/sigma^2) and its inverse are
+    finite and positive.
     """
+    rate = _as_real("rate", rate)
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
     try:
-        ebn0 = 10.0 ** float(ebn0_db / 10.0)
+        ebn0 = 10.0 ** (_as_real("Eb/N0", ebn0_db) / 10.0)
     except OverflowError:
         ebn0 = math.inf
-    except TypeError:
-        raise ValueError(f"Eb/N0 {ebn0_db!r} is not a real number") from None
     scale = 4.0 * rate * ebn0
     if not (0.0 < scale < math.inf and 2.0 / scale < math.inf):
         raise ValueError(f"Eb/N0 {ebn0_db} dB is out of range: 4*R*Eb/N0 = {scale:g} at R = {rate:g}")
@@ -95,7 +95,8 @@ def ebn0_db_to_linear(ebn0_db, rate):
 
 
 def _initial_mean(rate, ebn0_db):
-    return np.array([4.0 * rate * ebn0_db_to_linear(ebn0_db, rate)])
+    ebn0 = ebn0_db_to_linear(ebn0_db, rate)  # before rate enters any product
+    return np.array([4.0 * rate * ebn0])
 
 
 def ga_reliabilities(kv, rate, ebn0_db):

@@ -212,8 +212,8 @@ class _ScheduleBuilder:
 
 @lru_cache(maxsize=1024)  # sub-kernel vectors are few; the bound caps a process that uses many
 def _shared_pattern(kv_sub):
-    """rep_pattern(kv_sub), read-only: the one array every REP node of kv_sub holds."""
-    pattern = rep_pattern(kv_sub)
+    """rep_pattern(kv_sub) as a read-only bool array: the one every REP node of kv_sub holds."""
+    pattern = rep_pattern(kv_sub).astype(bool)
     pattern.flags.writeable = False
     return pattern
 
@@ -234,9 +234,11 @@ def decode_spc(alpha, kv_sub):
     if beta.ndim == 1:
         if np.count_nonzero(beta) & 1:
             beta[np.abs(alpha).argmin()] ^= True
-    else:
+    elif beta.ndim == 2:
         parity = np.bitwise_xor.reduce(beta, axis=0)
         beta[np.abs(alpha).argmin(axis=0), np.arange(beta.shape[1])] ^= parity
+    else:
+        raise ValueError(f"LLRs of shape {alpha.shape} are neither (span,) nor (span, batch)")
     return beta.view(np.uint8), stage_transform(beta.T, kv_sub, inverse=True).T
 
 
@@ -245,7 +247,9 @@ def decode_rep(alpha, pattern):
     LLRs at the pattern's ones summed left to right in their float type. u_hat is the bit
     last, beta the bit times the pattern, both in alpha's shape."""
     alpha = np.asarray(alpha, dtype=_llr_dtype(alpha))
-    ones = np.asarray(pattern, dtype=bool)
+    ones = _as_bits("pattern", pattern).astype(bool, copy=False)  # the schedule's are bool: no scan
+    if ones.shape != alpha.shape[:1]:
+        raise ValueError(f"pattern of shape {ones.shape} does not fit LLRs of shape {alpha.shape}")
     terms = alpha[ones]
     # numpy adds a block's rows in order but a lone frame's values pairwise; accumulate never pairs.
     total = np.add.accumulate(terms)[-1] if terms.size == len(terms) else np.add.reduce(terms, axis=0)

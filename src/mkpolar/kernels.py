@@ -5,8 +5,9 @@ product of 2x2 and 3x3 polarizing kernels, described by a kernel vector such
 as (2, 2, 3). Arithmetic is mod 2 on uint8 arrays with entries in {0, 1}.
 KERNEL_STEPS states each kernel once. The encoder, the decode tree's partial-sum
 combines and the leaf inverses all run it in the one loop of _run_stages, from
-stages cached per kernel vector and direction. The one integer rule (_as_integer)
-and the one 0/1 rule (_as_bits) behind every public argument live here too.
+stages cached per kernel vector and direction. The one integer rule (_as_integer),
+the one real-number rule (_as_real) and the one 0/1 rule (_as_bits) behind every
+public argument live here too.
 """
 
 import operator
@@ -36,6 +37,17 @@ def _as_integer(name, value, low=-inf, high=inf):
     if not low <= index <= high:
         raise ValueError(f"{name} {index} is outside {low}..{high}")
     return index
+
+
+def _as_real(name, value):
+    """value as a float: the one real-number rule. A bool, a str, or a value float() cannot take
+    (None, a sequence, a complex) raises ValueError "NAME VALUE is not a real number"."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} {value!r} is not a real number")
 
 
 def _as_bits(name, values):
@@ -142,9 +154,8 @@ def stage_transform(bits, kv, inverse=False):
     """
     try:
         stages = _stages(inverse, *kv)
-    except TypeError:  # kv not iterable, or an entry not hashable: say so in one line
-        validate_kernel_vector(kv)
-        raise
+    except TypeError:  # kv not iterable, or an entry not hashable: validate it, then plan its tuple
+        stages = _stages(inverse, *validate_kernel_vector(kv))
     bits = _as_bits("bits", bits)
     n = prod(stages[0][0])
     if bits.shape[-1:] != (n,):

@@ -120,7 +120,7 @@ class TestSweeps:
     def test_fixed_n_takes_n_by_the_integer_rule(self, n_bits, complaint):
         # a str N once reached n_bits * rate and ended in a TypeError
         with pytest.raises(ValueError, match=f"^{re.escape(complaint)}$"):
-            sweep_fixed_n(n_bits, rates=(0.5,))
+            sweep_fixed_n(n_bits)
 
     def test_fixed_k_rows(self):
         rows = sweep_fixed_k(164)

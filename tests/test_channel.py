@@ -29,6 +29,12 @@ class TestModulate:
     def test_all_zero(self):
         assert (modulate(np.zeros(8, dtype=np.uint8)) == 1.0).all()
 
+    @pytest.mark.parametrize("bits", ["3", [0, 2], np.array([3], dtype=np.uint8), [0.5]], ids=repr)
+    def test_rejects_entries_other_than_0_or_1(self, bits):
+        # modulate("3") once returned -5.0
+        with pytest.raises(ValueError, match="^bits entry .* not 0 or 1$"):
+            modulate(bits)
+
 
 # Each is rejected because 4*R*Eb/N0 or its inverse is 0 or not finite; the
 # last two are finite and positive but their sigma^2 = 2/(4*R*Eb/N0) overflows.
@@ -46,6 +52,12 @@ class TestNoiseVariance:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             noise_variance(3.0, 1.0)
+
+    @pytest.mark.parametrize("rate", ["0.5", True, None], ids=repr)
+    def test_rejects_rate_that_is_not_a_real_number(self, rate):
+        # a str rate once raised TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rate {rate!r} is not a real number')}$"):
+            noise_variance(2.0, rate)
 
     def test_workers_cap_is_checked_before_any_pool(self, spec96, monkeypatch):
         def no_pool(*args, **kwargs):

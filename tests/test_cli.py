@@ -228,6 +228,19 @@ class TestConstruct:
         loaded = cli.load_code_spec(tmp_path / "pc_N12_K6_first.spec")
         assert loaded.kernels == (3, 2, 2)
 
+    @pytest.mark.parametrize(
+        "args,complaint",
+        [
+            (["--kernels", "2,3"], "--kernels also needs --k"),
+            (["--k", "3"], "either --spec, --kernels or both --n and --k are required"),
+        ],
+        ids=("kernels_without_k", "no_code"),
+    )
+    def test_code_needs_its_flags(self, tmp_path, capsys, args, complaint):
+        assert run_cli(["construct", *args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"mkpolar construct: {complaint}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_bad_kernel_vector_rejected(self, capsys):
         assert run_cli(["construct", "--kernels", "2,5", "--k", "3"]) == 2
         assert "kernel" in capsys.readouterr().err
@@ -343,6 +356,17 @@ class TestEncodeDecode:
         assert run_cli(["encode", *code, "--k", "6", "--message", "101010"]) == 0
         assert capsys.readouterr().out == "001101\n"
 
+    @pytest.mark.parametrize(
+        "command,complaint",
+        [
+            ("encode", "--message is required (use '-' to read from stdin)"),
+            ("decode", "--llrs FILE is required (use '-' for stdin)"),
+        ],
+    )
+    def test_input_flag_is_required(self, capsys, command, complaint):
+        assert run_cli([command, "--n", "6", "--k", "3"]) == 2
+        assert capsys.readouterr().err == f"mkpolar {command}: {complaint}\n"
+
     def test_bad_message_rejected(self, tmp_path, capsys):
         spec = construct_code(6, 3)
         path = tmp_path / "c.spec"
@@ -434,6 +458,9 @@ class TestSimulate:
         assert cli.parse_snr_range("2,3,4") == (2.0, 3.0, 4.0)
         with pytest.raises(cli.CommandError):
             cli.parse_snr_range("1:2")
+        for text in ("1:0:4", "4:-0.5:1"):
+            with pytest.raises(cli.CommandError, match="^SNR step must be positive$"):
+                cli.parse_snr_range(text)
         for text in ("4:0.5:1", "0:5e-324:1", "nan:1:2"):
             with pytest.raises(cli.CommandError, match="empty"):
                 cli.parse_snr_range(text)
@@ -518,6 +545,19 @@ class TestAnalyze:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 15
 
+    def test_rep3a_max_is_checked_by_node_limits(self, capsys):
+        # NodeLimits owns the 3/9/27 rule; the flag keeps no copy of it.
+        assert run_cli(["analyze", "--table2", "--rep3a-max", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mkpolar analyze: rep3a_max_span must be 3, 9 or 27, got 5\n"
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.csv"
+        assert run_cli(["analyze", "--sweep-n", "6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mkpolar analyze: ") and err.count("\n") == 1 and str(out) in err
+
 
 class TestScheduleExport:
     def test_line_format(self, capsys):
@@ -527,6 +567,16 @@ class TestScheduleExport:
         assert (depth0, offset0, span0) == ("0", "0", "96")
         spans = sum(int(l.split(",")[2]) for l in lines if l.split(",")[3] != "generic")
         assert spans == 96
+
+    def test_out_file_holds_what_stdout_gets(self, tmp_path, capsys):
+        args = ["schedule-export", "--n", "96", "--k", "48"]
+        assert run_cli(args) == 0
+        printed = capsys.readouterr().out
+        assert run_cli(args + ["--out", str(tmp_path / "sched.txt")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "sched.txt").read_text() == printed
+        assert run_cli(args + ["--out", ""]) == 0  # an empty --out is stdout
+        assert capsys.readouterr().out == printed
 
     def test_no_spc_flag_changes_schedule(self, capsys):
         assert run_cli(["schedule-export", "--n", "96", "--k", "48"]) == 0
@@ -545,3 +595,42 @@ class TestEmitReport:
     def test_json_array(self, capsys):
         cli.emit_report([{"a": 1, "b": 2.5}], ("a", "b"), "json", None)
         assert json.loads(capsys.readouterr().out) == [{"a": 1, "b": 2.5}]
+
+    def test_unknown_format_rejected(self, capsys):
+        with pytest.raises(cli.CommandError, match="^unknown output format 'xml'$"):
+            cli.emit_report([{"a": 1}], ("a",), "xml", None)
+        assert capsys.readouterr().out == ""
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["simulate", "--workers", "x"], "mkpolar simulate: argument --workers: invalid int value: 'x'"),
+            (["analyze", "--format", "xml"],
+             "mkpolar analyze: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        ],
+        ids=("workers", "format"),
+    )
+    def test_flag_error_is_one_line_and_exit_2(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+
+    def test_help_is_unchanged_usage_text(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["analyze", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mkpolar analyze [-h]") and "--sweep-k SWEEP_K" in out
+
+    def test_flag_defaults_are_the_librarys(self):
+        parser = cli.build_parser()
+        simulate = parser.parse_args(["simulate"])
+        assert (simulate.min_errors, simulate.max_frames) == (
+            channel.StopRule().min_frame_errors, channel.StopRule().max_frames)
+        for argv in (["simulate"], ["analyze"], ["construct"], ["schedule-export"]):
+            assert parser.parse_args(argv).ebn0 == construction.DEFAULT_DESIGN_EBN0_DB
+        assert parser.parse_args(["decode"]).rep3a_max == mkpolar.NodeLimits().rep3a_max_span

@@ -126,7 +126,7 @@ class TestGaReliabilities:
         with pytest.raises(ValueError, match="out of range"):
             construct_code(96, 48, OrderingStrategy.HIGHEST_RELIABILITY, ebn0_db=ebn0_db)
 
-    @pytest.mark.parametrize("ebn0_db", ("3", None, 1j, [3.0]), ids=repr)
+    @pytest.mark.parametrize("ebn0_db", ("3", None, 1j, [3.0], True), ids=repr)
     def test_rejects_ebn0_that_is_not_a_real_number(self, ebn0_db):
         complaint = re.escape(f"Eb/N0 {ebn0_db!r} is not a real number")
         with pytest.raises(ValueError, match=complaint):
@@ -275,6 +275,10 @@ class TestOrderKernels:
         with pytest.raises(ValueError):
             order_kernels(0, 0, OrderingStrategy.LAST)
 
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match=r"^unknown ordering strategy 'middle'$"):
+            order_kernels(1, 1, "middle")
+
     @pytest.mark.parametrize(
         "args,complaint",
         [
@@ -328,6 +332,10 @@ class TestCodeSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             CodeSpec(n_bits=5, k_bits=2, kernels=(2, 3), frozen=np.zeros(5, dtype=np.uint8))
+
+    def test_frozen_mask_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^frozen mask must have length 6$"):
+            CodeSpec(6, 3, (2, 3), np.array([1, 1, 1, 0, 0], dtype=np.uint8))
         with pytest.raises(ValueError):
             CodeSpec(n_bits=6, k_bits=2, kernels=(2, 3), frozen=np.zeros(6, dtype=np.uint8))
         with pytest.raises(ValueError):

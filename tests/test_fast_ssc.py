@@ -248,6 +248,7 @@ class TestBuildSchedule:
         assert len(reps) == 4 and all(n.pattern is reps[0].pattern for n in reps)
         assert np.array_equal(reps[0].pattern, rep_pattern((3,)))
         assert not reps[0].pattern.flags.writeable
+        assert reps[0].pattern.dtype == bool  # so decode_rep's 0/1 check passes it unscanned
 
     def test_export_lines_format(self):
         spec = design_code((2, 3), 3)
@@ -299,6 +300,13 @@ class TestDecodeSPC:
     def test_all_positive(self):
         beta, u = decode_spc(np.ones(6), (2, 3))
         assert not beta.any() and not u.any()
+
+    @pytest.mark.parametrize("alpha", [1.0, np.ones((2, 2, 2))], ids=("0d", "3d"))
+    def test_llrs_neither_a_frame_nor_a_block_rejected(self, alpha):
+        # A 0-d alpha once raised IndexError; a (2, 2, 2) one flipped bits across frames.
+        shape = np.shape(alpha)
+        with pytest.raises(ValueError, match=re.escape(f"LLRs of shape {shape} are neither")):
+            decode_spc(alpha, (2,))
 
     @pytest.mark.parametrize("kv", [(2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 3)], ids=str)
     def test_parity_always_even(self, kv, rng):
@@ -355,6 +363,21 @@ class TestDecodeRep:
         beta, u = decode_rep(alpha, rep_pattern((3, 2)))
         assert beta.tolist() == [0, 0, 1, 1, 1, 1]
         assert u.tolist() == [0, 0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "alpha,pattern,complaint",
+        [
+            (np.ones(4), [-1, 0, 0, 1], "pattern entry [0] is -1, not 0 or 1"),
+            (np.ones(4), [2, 0, 0, 1], "pattern entry [0] is 2, not 0 or 1"),
+            (np.ones(4), [0, 0, 1], "pattern of shape (3,) does not fit LLRs of shape (4,)"),
+            (1.0, [0, 1], "pattern of shape (2,) does not fit LLRs of shape ()"),
+        ],
+        ids=("minus_one", "two", "short", "0d_llrs"),
+    )
+    def test_pattern_must_be_bits_that_fit_the_llrs(self, alpha, pattern, complaint):
+        # The -1 and the 2 once decoded as the pattern [1, 0, 0, 1]; the 0-d LLRs raised IndexError.
+        with pytest.raises(ValueError, match=f"^{re.escape(complaint)}$"):
+            decode_rep(alpha, pattern)
 
     def test_rep3c_skips_every_third(self):
         alpha = np.array([9.0, -1.0, -1.0, 9.0, -1.0, -1.0])

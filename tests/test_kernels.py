@@ -175,6 +175,13 @@ def test_stage_transform_rejects_entries_other_than_0_or_1(bits):
         stage_transform(np.tile(bits, (3, 1)), (2,), inverse=True)
 
 
+def test_stage_transform_takes_0d_integer_array_kernels():
+    # An unhashable 0-d array passes the integer rule, so its plan is made from the validated
+    # tuple; it once leaked the cache's "unhashable type" TypeError.
+    for inverse in (False, True):
+        assert stage_transform([0, 1], [np.array(2)], inverse=inverse).tolist() == [1, 1]
+
+
 def test_validate_kernel_vector_rejects():
     with pytest.raises(ValueError):
         validate_kernel_vector(())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -195,8 +196,7 @@ def array_flags(a):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("shape", [(), (5,), (5, 1), (5, 1024)], ids=str)
 @pytest.mark.parametrize("step", STEP_ARITY, ids=lambda step: step.__name__)
-def test_llr_step_into_out_equals_allocating_form(step, shape, dtype, rng):
-    # The allocating form is the textbook formula, computed by numpy in the LLRs' float type.
+def test_llr_step_in_place_equals_textbook(step, shape, dtype, rng):
     n_llrs, n_sums = STEP_ARITY[step]
     # Small integers give ties and zeros of both signs; the rest are Gaussian.
     llrs = np.where(rng.random((n_llrs, *shape)) < 0.5, rng.integers(-2, 3, (n_llrs, *shape)),
@@ -350,6 +350,12 @@ class TestDecodeSC:
         spec = spec_with_frozen((3,), [1, 1, 0])
         with pytest.raises(ValueError):
             SCDecoder(spec).decode([1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 3, 1)], ids=str)
+    def test_batch_of_wrong_shape_rejected(self, shape):
+        spec = spec_with_frozen((3,), [1, 1, 0])
+        with pytest.raises(ValueError, match=re.escape(f"expected (batch, 3) LLRs, got {shape}")):
+            SCDecoder(spec).decode_batch(np.ones(shape))
 
     def test_nan_llr_rejected(self):
         spec = spec_with_frozen((3,), [1, 1, 0])
