@@ -194,7 +194,7 @@ def _order_kernels(n_two, n_three, strategy, rate, ebn0_db):
         raise ValueError(f"unknown ordering strategy {strategy!r}")
 
     n = math.prod(first)
-    k_bits = round(rate * n)
+    k_bits = round(_as_real("rate", rate) * n)
     best, best_score = None, -math.inf
     for kv, z in _evolve_arrangements(n_two, n_three, rate, ebn0_db):
         score = np.sort(z)[n - k_bits :].sum()

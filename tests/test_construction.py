@@ -275,6 +275,12 @@ class TestOrderKernels:
         with pytest.raises(ValueError):
             order_kernels(0, 0, OrderingStrategy.LAST)
 
+    @pytest.mark.parametrize("rate", ["0.5", True], ids=repr)
+    def test_rate_is_taken_by_the_real_number_rule(self, rate):
+        # a str rate once reached round("0.5" * N) and raised TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rate {rate!r} is not a real number')}$"):
+            order_kernels(1, 1, OrderingStrategy.HIGHEST_RELIABILITY, rate=rate)
+
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match=r"^unknown ordering strategy 'middle'$"):
             order_kernels(1, 1, "middle")
