@@ -619,7 +619,7 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == line + "\n"
 
-    def test_help_is_unchanged_usage_text(self, capsys):
+    def test_help_prints_usage_and_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(["analyze", "--help"])
         assert info.value.code == 0
