@@ -10,8 +10,8 @@ non-root node count plus one per multi-bit fast leaf.
 from dataclasses import asdict, dataclass
 
 from .construction import DEFAULT_DESIGN_EBN0_DB, construct_code
-from .fast_ssc import NodeClass, build_schedule
-from .kernels import MAX_CODE_LENGTH, _as_integer, nearest_valid_lengths, validate_kernel_vector
+from .fast_ssc import NodeClass, PrunedSchedule, build_schedule
+from .kernels import MAX_CODE_LENGTH, _as_instance, _as_integer, nearest_valid_lengths, validate_kernel_vector
 
 TABLE2_LENGTHS = (96, 432, 768, 2304)
 TABLE2_RATES = (0.25, 0.5, 0.75)
@@ -50,8 +50,10 @@ def sc_node_count(kv):
 def schedule_stats(sched, kv=None):
     """NodeCounts for a pruned schedule, against the SC cost of its kernels.
 
-    kv, if given, must be the schedule's kernel vector; any other raises ValueError.
+    kv, if given, must be the schedule's kernel vector; any other raises ValueError, as
+    does a sched not a PrunedSchedule.
     """
+    _as_instance("schedule", sched, PrunedSchedule)
     if kv is not None and validate_kernel_vector(kv) != sched.kernels:
         raise ValueError(f"kernel vector {kv} is not the schedule's {sched.kernels}")
     tally = {cls: 0 for cls in NodeClass}

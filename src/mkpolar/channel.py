@@ -19,10 +19,10 @@ from functools import partial
 
 import numpy as np
 
-from .construction import design_code, ebn0_db_to_linear
+from .construction import CodeSpec, design_code, ebn0_db_to_linear
 from .encoding import expand_message
 from .fast_ssc import FastSSCDecoder
-from .kernels import MAX_CODE_LENGTH, _as_bits, _as_integer, stage_transform
+from .kernels import MAX_CODE_LENGTH, _as_bits, _as_instance, _as_integer, stage_transform
 from .sc import SCDecoder
 
 DECODER_KINDS = ("sc", "fastssc")
@@ -170,7 +170,7 @@ def run_fer(
     sequence, an Eb/N0 not real or out of range, a seed not an integer >= 0,
     workers not in 1..MAX_WORKERS or batch_size not in 1..MAX_BATCH_LLRS // N.
     """
-    if not 0 < spec.k_bits < spec.n_bits:
+    if not 0 < _as_instance("spec", spec, CodeSpec).k_bits < spec.n_bits:
         raise ValueError("simulation needs 0 < K < N")
     if decoder not in DECODER_KINDS:
         raise ValueError(f"unknown decoder kind {decoder!r}; expected one of {DECODER_KINDS}")

@@ -49,10 +49,17 @@ class CommandError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose flag errors, like every other usage error, are one line and exit 2.
-    Subparsers are made of the same class, so `mkpolar <cmd>: <message>` names the command."""
+    Subparsers are made of the same class, so `mkpolar <cmd>: <message>` names the command.
+    Each parser rejects its own leftover arguments, which argparse would pass up to `mkpolar`."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def save_code_spec(spec, path):

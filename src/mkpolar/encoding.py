@@ -6,7 +6,8 @@ tests check it against the dense GF(2) product u . G.
 
 import numpy as np
 
-from .kernels import _as_bits, stage_transform
+from .construction import CodeSpec
+from .kernels import _as_bits, _as_instance, stage_transform
 
 
 def expand_message(a, spec):
@@ -14,8 +15,9 @@ def expand_message(a, spec):
 
     Frozen positions are zero. Accepts a batch with the message bits on the
     trailing axis and returns the sourcewords in the memory order of the
-    input; raises ValueError on any entry other than 0 or 1.
+    input; raises ValueError on any entry other than 0 or 1 and on a spec not a CodeSpec.
     """
+    spec = _as_instance("spec", spec, CodeSpec)
     a = _as_bits("message", a)
     if a.shape[-1:] != (spec.k_bits,):
         raise ValueError(f"message shape {a.shape} does not end in K = {spec.k_bits}")

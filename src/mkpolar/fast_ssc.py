@@ -36,7 +36,8 @@ from math import prod
 
 import numpy as np
 
-from .kernels import _as_bits, _as_integer, rep_pattern, stage_transform, validate_kernel_vector
+from .construction import CodeSpec
+from .kernels import _as_bits, _as_instance, _as_integer, rep_pattern, stage_transform, validate_kernel_vector
 # The LLR steps run in sc.py's walk; perfbench/spans.py still resolves them here.
 from .sc import _llr_dtype, _TreeDecoder, f_op, g_op, lambda0, lambda1, lambda2  # noqa: F401
 
@@ -180,7 +181,7 @@ def build_schedule(spec, limits=None):
     sub-kernel vector share one read-only pattern (_shared_pattern); the
     schedule keeps no reference to the spec.
     """
-    root = _ScheduleBuilder(spec, _resolve_limits(limits)).node(0, 0, spec.n_bits)
+    root = _ScheduleBuilder(_as_instance("spec", spec, CodeSpec), _resolve_limits(limits)).node(0, 0, spec.n_bits)
     return PrunedSchedule(root=root, kernels=spec.kernels)
 
 
@@ -273,16 +274,18 @@ class FastSSCDecoder(_TreeDecoder):
         # Single-bit leaves take the walk's own bit decision, which they equal.
         self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
-    def _decode_leaf(self, node, alpha, beta, u):
-        """Decode a multi-bit leaf from its (span, batch) LLRs alpha, (span,) or a list
-        for one frame, into the walk's blocks beta and u of the same shape."""
+    def _decode_leaf(self, node, alpha):
+        """Decode a multi-bit leaf from its (span, batch) LLRs alpha, (span,) or a list for one
+        frame: its blocks (beta, u), lists for a list and else arrays of alpha's shape (a Rate-0
+        leaf's two are one zero list or array, which the walk only reads)."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
-            beta[...] = 0
-            u[...] = 0
-        elif cls is NodeClass.RATE1:
-            beta[...], u[...] = decode_rate1(alpha, node.kv_sub)
+            zeros = [0] * len(alpha) if isinstance(alpha, list) else np.zeros(alpha.shape, dtype=np.uint8)
+            return zeros, zeros
+        if cls is NodeClass.RATE1:
+            beta, u = decode_rate1(alpha, node.kv_sub)
         elif cls is NodeClass.SPC:
-            beta[...], u[...] = decode_spc(alpha, node.kv_sub)
+            beta, u = decode_spc(alpha, node.kv_sub)
         else:
-            beta[...], u[...] = decode_rep(alpha, node.pattern)
+            beta, u = decode_rep(alpha, node.pattern)
+        return (beta.tolist(), u.tolist()) if isinstance(alpha, list) else (beta, u)

@@ -39,6 +39,14 @@ def _as_integer(name, value, low=-inf, high=inf):
     return index
 
 
+def _as_instance(name, value, cls):
+    """value, if it is a cls: the one rule for a code or a schedule. Anything else raises
+    ValueError "NAME must be a CLS, got TYPE"."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _as_real(name, value):
     """value as a float: the one real-number rule. A bool, a str, or a value float() cannot take
     (None, a sequence, a complex) raises ValueError "NAME VALUE is not a real number"."""
@@ -59,7 +67,9 @@ def _as_bits(name, values):
     bad = (values != 0) & (values != 1)
     if bad.any():
         position = np.argwhere(bad)[0].tolist()
-        raise ValueError(f"{name} entry {position} is {values[tuple(position)]}, not 0 or 1")
+        entry = values[tuple(position)]
+        entry = repr(str(entry)) if isinstance(entry, str) else entry  # a str "1" is not the number 1
+        raise ValueError(f"{name} entry {position} is {entry}, not 0 or 1")
     return values
 
 

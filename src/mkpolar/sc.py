@@ -10,7 +10,8 @@ exactly zero decides 1 on an unfrozen bit. Fast-SSC without SPC is bit-exact
 to SC for tie-free LLRs only (see fast_ssc.py). The box-plus max(min(a, b),
 -max(a, b)) is exact, so every LLR has the value of its textbook formula; only
 the sign of an exact zero may differ, and no decision (<= 0, |.|, a sum) sees it.
-Every step keeps its LLRs' float type: float32 LLRs stay float32 (the +-1
+Each LLR step has three forms with the same values, on numpy arrays, lists and Python
+floats (see f_op), and keeps its LLRs' float type: float32 LLRs stay float32 (the +-1
 factors are built in float32), and anything else computes in float64.
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
@@ -25,7 +26,7 @@ per depth plus one scratch, laid out once per decoder; for one frame the blocks
 are 1-D views, as x and u are. One frame's nodes of span at most _LIST_SPANS
 of its float type walk Python lists (_decode_list) instead, as a list step costs
 tens of nanoseconds per element and a numpy call about a microsecond; there a node
-of span 2 or 3 decides each single-bit child after its step, as not frozen and llr <= 0.
+of span 2 or 3 decides each single-bit child after its step on floats, as llr <= 0 and not frozen.
 """
 
 from itertools import accumulate
@@ -33,7 +34,8 @@ from operator import floordiv
 
 import numpy as np
 
-from .kernels import KERNEL_STEPS, _run_stages, _stages
+from .construction import CodeSpec
+from .kernels import KERNEL_STEPS, _as_instance, _run_stages, _stages
 
 
 def f_op(l0, l1, out=None, scratch=None):
@@ -41,13 +43,18 @@ def f_op(l0, l1, out=None, scratch=None):
 
     The value of max(min(l0, l1), -max(l0, l1)), exact and with no product, so
     no input overflows or warns as l0 * l1 would at 1e308 or inf * 0. Only a
-    zero's sign may differ: f(+0, -0) is +0. Each LLR step has two forms, both
+    zero's sign may differ: f(+0, -0) is +0. Each LLR step has three forms, all
     with the same values. Given arrays, it takes four numpy passes, writes its
     result to out (which may be l0) and its intermediates to scratch, both of
     the result's shape and float type, and returns out. Given lists of floats
     (and of 0/1 partial sums), it returns a list, with the formula's zero signs
     too, from comparisons alone: swap so that a <= b, then a if a >= -b else -b.
+    Given Python floats (not numpy scalars) and no out, it returns a float the same way.
     """
+    if out is None and type(l0) is float:
+        if l0 > l1:
+            l0, l1 = l1, l0
+        return l0 if l0 >= -l1 else -l1
     if isinstance(l0, list):
         out = []
         for a, b in zip(l0, l1):
@@ -88,6 +95,8 @@ def _signs(u, out):
 
 def g_op(l0, l1, u0, out=None):
     """(-1)^u0 * l0 + l1, with u0 the left partial sum; out as in f_op."""
+    if out is None and type(l0) is float:
+        return (-l0 if u0 else l0) + l1
     if isinstance(l0, list):
         return [(-a if s else a) + b for a, b, s in zip(l0, l1, u0)]
     np.multiply(_signs(u0, out), l0, out=out)
@@ -101,6 +110,8 @@ def lambda0(l0, l1, l2, out=None, scratch=None):
 
 def lambda1(l0, l1, l2, u0, out=None, scratch=None):
     """(-1)^u0 * l0 + (l1 box-plus l2), for the center branch; out as in f_op."""
+    if out is None and type(l0) is float:
+        return (-l0 if u0 else l0) + f_op(l1, l2)
     if isinstance(l0, list):
         return [(-a if s else a) + b for a, b, s in zip(l0, f_op(l1, l2), u0)]
     boxplus = f_op(l1, l2, scratch, out)
@@ -113,6 +124,8 @@ def lambda2(l1, l2, u0, u1, out=None, scratch=None):
 
     u0 and u1 are the left and center partial sums.
     """
+    if out is None and type(l1) is float:
+        return (-l1 if u0 else l1) + (-l2 if u0 ^ u1 else l2)
     if isinstance(l1, list):
         return [(-a if s else a) + (-b if s ^ t else b) for a, b, s, t in zip(l1, l2, u0, u1)]
     # (-1)^u0 * (l1 + (-1)^u1 * l2): +-1 commutes with rounding; an exact zero's sign may differ.
@@ -123,20 +136,20 @@ def lambda2(l1, l2, u0, u1, out=None, scratch=None):
 class _TreeDecoder:
     """The SC tree walk and the decode entry points.
 
-    Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves`
-    is decoded in one step by `self._decode_leaf(node, alpha, beta, u)`,
-    which a subclass that fills `_leaves` must define, on the node's own
-    (span, batch) blocks, (span,) for one frame; every other node recurses
+    Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves` is decoded
+    in one step by `self._decode_leaf(node, alpha)`, which a subclass that fills `_leaves`
+    must define: it returns the node's (beta, u) blocks in alpha's shape, (span, batch),
+    (span,) for one frame or a list under a list-walked node; every other node recurses
     down to single-bit decisions, its LLR steps writing into the call's slab.
     One frame's nodes of span at most _LIST_SPANS of its float type recurse on
     Python lists (_decode_list), through the same steps and leaf decoder; a node
-    of span 2 or 3 decides its single bits itself and XORs them. A decode
+    of span 2 or 3 decides its single bits itself on floats and XORs them. A decode
     keeps its state in the arrays it allocates, never on the instance, so one
     decoder may serve any number of threads at once.
     """
 
     def __init__(self, spec):
-        self.spec = spec
+        self.spec = _as_instance("spec", spec, CodeSpec)
         self._frozen = spec.frozen.tolist()
         self._leaves = {}
         kv = spec.kernels  # a depth-d node combines by the first stage of kv[d:]
@@ -201,7 +214,7 @@ class _TreeDecoder:
         beta = x[offset : offset + span]
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
-            self._decode_leaf(leaf, alpha, beta, u[offset : offset + span])
+            beta[:], u[offset : offset + span] = self._decode_leaf(leaf, alpha)
             return
         if depth == len(slabs):  # one frame at its list depth
             beta[:], u[offset : offset + span] = self._decode_list(alpha.tolist(), depth, offset)
@@ -228,27 +241,26 @@ class _TreeDecoder:
         """The node's (x, u) blocks as lists, from one frame's LLRs alpha as a list of floats:
         _decode_node's walk, each kernel combine as XORs of its KERNEL_STEPS, except that a
         node of span 2 or 3 decides each single-bit child itself, after that child's step."""
-        span = len(alpha)
         leaf = self._leaves.get((depth, offset))
         if leaf is not None:
-            beta, u = np.empty(span, dtype=np.uint8), np.empty(span, dtype=np.uint8)
-            self._decode_leaf(leaf, alpha, beta, u)
-            return beta.tolist(), u.tolist()
+            return self._decode_leaf(leaf, alpha)
         k = self.spec.kernels[depth]
-        q = span // k
-        l0, l1, l2 = alpha[:q], alpha[q : 2 * q], alpha[2 * q :]
-        if q == 1:
-            (llr,) = f_op(l0, l1) if k == 2 else lambda0(l0, l1, l2)
-            u = [not self._frozen[offset] and llr <= 0]
-            (llr,) = g_op(l0, l1, u) if k == 2 else lambda1(l0, l1, l2, u)
-            u.append(not self._frozen[offset + 1] and llr <= 0)
-            if k == 3:
-                (llr,) = lambda2(l1, l2, u, u[1:])
-                u.append(not self._frozen[offset + 2] and llr <= 0)
+        q = len(alpha) // k
+        if q == 1:  # each child's step runs once on floats, a frozen one's too, so each is entered
+            if k == 2:
+                l0, l1 = alpha
+                u0 = f_op(l0, l1) <= 0 and not self._frozen[offset]
+                u = [u0, g_op(l0, l1, u0) <= 0 and not self._frozen[offset + 1]]
+            else:
+                l0, l1, l2 = alpha
+                u0 = lambda0(l0, l1, l2) <= 0 and not self._frozen[offset]
+                u1 = lambda1(l0, l1, l2, u0) <= 0 and not self._frozen[offset + 1]
+                u = [u0, u1, lambda2(l1, l2, u0, u1) <= 0 and not self._frozen[offset + 2]]
             x = u.copy()
             for a, b in KERNEL_STEPS[k]:
                 x[a] ^= x[b]
             return x, u
+        l0, l1, l2 = alpha[:q], alpha[q : 2 * q], alpha[2 * q :]
         x0, u0 = self._decode_list(f_op(l0, l1) if k == 2 else lambda0(l0, l1, l2), depth + 1, offset)
         if k == 2:
             x1, u1 = self._decode_list(g_op(l0, l1, x0), depth + 1, offset + q)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkpolar.analysis import sc_node_count
+from mkpolar import FastSSCDecoder, SCDecoder, build_schedule, run_fer, schedule_stats
+from mkpolar.analysis import latency_table, sc_node_count
 from mkpolar.construction import CodeSpec, design_code
 from mkpolar.encoding import encode_message, expand_message
 from mkpolar.kernels import rep_pattern, stage_transform
@@ -145,3 +146,21 @@ def test_a_0d_message_fails_in_one_line(call):
     spec = design_code((2, 3), 3)
     with pytest.raises(ValueError, match=r"^message shape \(\) does not end in K = 3$"):
         call(True, spec)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: run_fer("spec"), "spec must be a CodeSpec, got str"),
+    (lambda: SCDecoder(None), "spec must be a CodeSpec, got NoneType"),
+    (lambda: FastSSCDecoder(42), "spec must be a CodeSpec, got int"),
+    (lambda: encode_message([0, 1], None), "spec must be a CodeSpec, got NoneType"),
+    (lambda: expand_message([0, 1], None), "spec must be a CodeSpec, got NoneType"),
+    (lambda: build_schedule((2, 3)), "spec must be a CodeSpec, got tuple"),
+    (lambda: latency_table(["x"]), "spec must be a CodeSpec, got str"),
+    (lambda: schedule_stats("x"), "schedule must be a PrunedSchedule, got str"),
+    (lambda: schedule_stats(design_code((2, 3), 3)), "schedule must be a PrunedSchedule, got CodeSpec"),
+], ids=["run_fer", "SCDecoder", "FastSSCDecoder", "encode_message", "expand_message", "build_schedule",
+        "latency_table", "schedule_stats", "schedule_stats-spec"])
+def test_a_spec_or_schedule_of_another_type_fails_in_one_line(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -35,6 +35,17 @@ class TestModulate:
         with pytest.raises(ValueError, match="^bits entry .* not 0 or 1$"):
             modulate(bits)
 
+    @pytest.mark.parametrize("bits,message", [
+        ("1", "bits entry [] is '1', not 0 or 1"),
+        (["0", "1"], "bits entry [0] is '0', not 0 or 1"),
+        (np.array([2, 0]), "bits entry [0] is 2, not 0 or 1"),
+        ([0, 1.5], "bits entry [1] is 1.5, not 0 or 1"),
+    ], ids=repr)
+    def test_a_str_entry_is_quoted_and_a_number_is_not(self, bits, message):
+        with pytest.raises(ValueError) as info:
+            modulate(bits)
+        assert str(info.value) == message
+
 
 # Each is rejected because 4*R*Eb/N0 or its inverse is 0 or not finite; the
 # last two are finite and positive but their sigma^2 = 2/(4*R*Eb/N0) overflows.

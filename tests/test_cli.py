@@ -619,6 +619,19 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == line + "\n"
 
+    @pytest.mark.parametrize("argv,line", [
+        (["analyze", "--table2", "--foo"], "mkpolar analyze: unrecognized arguments: --foo"),
+        (["simulate", "--n", "96", "--bar", "3"], "mkpolar simulate: unrecognized arguments: --bar 3"),
+        (["--foo"], "mkpolar: the following arguments are required: command"),
+        (["--foo", "analyze", "--table2"], "mkpolar: unrecognized arguments: --foo"),
+    ], ids=("after-analyze", "after-simulate", "bare", "before-command"))
+    def test_unknown_argument_names_the_parser_it_was_given_to(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+
     def test_help_prints_usage_and_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(["analyze", "--help"])

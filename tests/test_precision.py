@@ -169,16 +169,17 @@ class FloatArrayLog:
 def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
     # A silent upcast would cost the float32 speed and fail nothing else. One
     # float64 frame walks its nodes of span <= 27 on lists, whose Python floats
-    # are float64; a float32 frame takes that list form only for single bits.
-    seen, lengths = {}, []
+    # are float64; a float32 frame takes the float form only for single bits.
+    seen, lists = {}, []
 
     def log_output(name):
         original = getattr(sc, name)
 
         def wrapper(*args):
             result = original(*args)
-            types = {type(v) for v in result} if isinstance(result, list) else {result.dtype}
-            lengths.extend([len(result)] if isinstance(result, list) else [])
+            is_list = isinstance(result, list)
+            types = {type(v) for v in result} if is_list else {getattr(result, "dtype", type(result))}
+            lists.append(is_list)
             seen.setdefault(name, set()).update(types)
             return result
 
@@ -202,7 +203,7 @@ def test_walk_keeps_the_llr_precision(kind, dtype, monkeypatch):
     if dtype == np.float64:
         assert all(seen.pop(name) in ({float}, {float, np.dtype(dtype)}) for name in STEPS), seen
     else:
-        assert set(lengths) <= {1} and (lengths or kind != "sc"), lengths
+        assert not any(lists) and (float in seen["f_op"] or kind != "sc"), seen
         assert all(seen.pop(name) - {float} == {np.dtype(dtype)} for name in STEPS), seen
     assert all(types == {np.dtype(dtype)} for types in seen.values()), seen
     if kind != "sc":

@@ -244,6 +244,45 @@ def test_list_boxplus_keeps_the_builtin_forms_values_and_zero_signs():
     assert signed(lambda0(l0, l1, l2)) == signed(builtin_boxplus(builtin_boxplus(l0, l1), l2))
 
 
+@pytest.mark.parametrize("step", STEP_ARITY, ids=lambda step: step.__name__)
+def test_llr_step_float_form_equals_list_form_with_zero_signs(step):
+    # One frame's nodes of span 2 or 3 run each step on Python floats, with partial sums
+    # as 0/1 ints and bools; every value and every zero sign must be the list form's.
+    # The grid holds ties, zeros of both signs and equal magnitudes of opposite sign.
+    n_llrs, n_sums = STEP_ARITY[step]
+    edges = [float(v) for v in (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, BOUND, -BOUND, TINY, -TINY)]
+    for llrs in itertools.product(edges, repeat=n_llrs):
+        for sums in itertools.product([0, 1, False, True], repeat=n_sums):
+            got = step(*llrs, *sums)
+            (want,) = step(*[[v] for v in llrs], *[[s] for s in sums])
+            assert type(got) is float
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), (llrs, sums)
+
+
+def test_float_form_is_taken_by_python_floats_without_out_only():
+    assert type(f_op(1.5, -2.0)) is float and f_op(1.5, -2.0) == -1.5
+    # Given out, a step keeps its numpy form, for Python floats and numpy scalars alike.
+    out, scratch = np.empty(()), np.empty(())
+    assert f_op(np.float64(1.5), np.float64(-2.0), out, scratch) is out and out == -1.5
+    assert g_op(1.5, -2.0, 1, out) is out and out == -3.5
+    assert lambda2(1.5, -2.0, 1, 0, out, scratch) is out and out == 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", ["sc", "fastssc"])
+@pytest.mark.parametrize("kv", [(2, 3, 2, 3, 2, 3), (2, 2, 2, 2, 3, 3, 3), (3, 3, 3, 2, 2)], ids=str)
+def test_one_frame_decides_as_its_batch_row_on_ties(kv, kind, dtype, rng):
+    # One frame decides its nodes of span 2 or 3 on Python floats, a batch on numpy rows.
+    # Integer LLRs in -2..2, zeros of both signs, tie every box-plus and zero many sums.
+    decoder = DECODERS[kind](design_code(kv, math.prod(kv) // 2))
+    llrs = rng.integers(-2, 3, (16, math.prod(kv))).astype(dtype)
+    llrs[(llrs == 0) & (rng.random(llrs.shape) < 0.5)] = -0.0
+    u_batch, x_batch = decoder.decode_batch(llrs)
+    for frame, u_b, x_b in zip(llrs, u_batch, x_batch):
+        u_f, x_f = decoder.decode(frame)
+        assert np.array_equal(u_f, u_b) and np.array_equal(x_f, x_b)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("kind", DECODERS)
 @pytest.mark.parametrize("kv", [(2, 3, 2, 3, 2, 3), (2, 2, 2, 2, 3, 3, 3), (3, 3, 3, 2, 2)], ids=str)

@@ -1,11 +1,16 @@
 """The experiment scripts run end to end on a small code."""
 
+import csv
+import json
+import platform
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mkpolar.analysis import latency_table, table2_specs
 from mkpolar.cli import FER_FIELDS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -46,3 +51,25 @@ def test_output_digest_quick_prints_both_digests(monkeypatch, capsys):
     # Any change to what `analyze --table2` prints at its default flags, or to a schedule, changes this.
     assert front_end == ("front-end 1 reports x 1 formats, 1 schedules sha256 "
                          "a9cbeb4cec463df53a1abcb458b90523cafd70d2af4dce6d4324857fd35983a9")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wallclock_table2_reports_every_reference_code(tmp_path, monkeypatch, fmt):
+    # Format only: with tiny repetition counts the times are noise, and timing is never a gate.
+    out = tmp_path / f"wallclock.{fmt}"
+    argv = ["wallclock_table2.py", "--frames", "2", "--batch", "2", "--batch-repeats", "1",
+            "--format", fmt, "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    module = runpy.run_path(str(SCRIPTS / "wallclock_table2.py"), run_name="__main__")
+    text = out.read_text()
+    rows = list(csv.DictReader(text.splitlines())) if fmt == "csv" else json.loads(text)
+    assert all(list(row) == list(module["FIELDS"]) for row in rows)
+    counts = latency_table(table2_specs())
+    assert [(int(r["N"]), float(r["R"]), r["ordering"], float(r["reduction_pct"])) for r in rows] == [
+        (c["N"], c["R"], c["ordering"], c["reduction_pct"]) for c in counts]
+    for row in rows:
+        times = [float(row[f"{d}_{t}"]) for d in ("sc", "fastssc") for t in ("p50_us", "p90_us", "batch_us_per_frame")]
+        assert all(t > 0 for t in times)
+        assert float(row["measured_pct"]) == round(100 * (1 - times[3] / times[0]), 1)
+        assert row["python"] == platform.python_version() and row["numpy"] == np.__version__
+        assert row["host"] and row["commit"]
