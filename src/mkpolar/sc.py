@@ -10,9 +10,8 @@ exactly zero decides 1 on an unfrozen bit. Fast-SSC without SPC is bit-exact
 to SC for tie-free LLRs only (see fast_ssc.py). The box-plus max(min(a, b),
 -max(a, b)) is exact, so every LLR has the value of its textbook formula; only
 the sign of an exact zero may differ, and no decision (<= 0, |.|, a sum) sees it.
-Each LLR step has three forms with the same values, on numpy arrays, lists and Python
-floats (see f_op), and keeps its LLRs' float type: float32 LLRs stay float32 (the +-1
-factors are built in float32), and anything else computes in float64.
+Each LLR step has three forms, on arrays, lists and floats (see f_op), and keeps its
+LLRs' float type: float32 LLRs stay float32 (the +-1 factors are float32), else float64.
 
 This module owns the one tree walk both decoders run (`_TreeDecoder`).
 SCDecoder walks the whole tree; FastSSCDecoder (fast_ssc.py) walks the same
@@ -46,10 +45,9 @@ def f_op(l0, l1, out=None, scratch=None):
     zero's sign may differ: f(+0, -0) is +0. Each LLR step has three forms, all
     with the same values. Given arrays, it takes four numpy passes, writes its
     result to out (which may be l0) and its intermediates to scratch, both of
-    the result's shape and float type, and returns out. Given lists of floats
-    (and of 0/1 partial sums), it returns a list, with the formula's zero signs
-    too, from comparisons alone: swap so that a <= b, then a if a >= -b else -b.
-    Given Python floats (not numpy scalars) and no out, it returns a float the same way.
+    the result's shape and float type, and returns out. Given lists of floats (and of 0/1
+    partial sums) it returns a list, and given Python floats (not numpy scalars) and no out
+    a float, with the formula's zero signs: swap so that a <= b, then a if a >= -b else -b.
     """
     if out is None and type(l0) is float:
         if l0 > l1:
