@@ -4,15 +4,16 @@
 For each analysis.table2_specs() code, SC and Fast-SSC decode the same seeded
 noisy frames (random messages, BPSK over AWGN at 2 dB, seeded per code):
   - one float64 frame at a time by decode, the two decoders alternating frame by
-    frame, reported as the p50 and p90 of --frames calls in microseconds;
-  - --batch float32 frames at once by decode_batch, frames-last as run_fer hands
-    them, reported as microseconds per frame (the best of --batch-repeats calls).
+    frame, reported as the p50 and p90 of FRAMES calls in microseconds;
+  - BATCH float32 frames at once by decode_batch, frames-last as run_fer hands
+    them, reported as microseconds per frame (the best of BATCH_REPEATS calls).
 measured_pct is Fast-SSC's one-frame p50 reduction against SC's, beside the
 node-count reduction_pct that `mkpolar analyze --table2` prints. Every row
 names the host, the Python and numpy versions and the commit it was measured
 on. Times depend on the host and its load; the node-count table is the gate.
+--quick decodes a few frames only, to check the script runs; its times are noise.
 
-    PYTHONPATH=src python3 scripts/wallclock_table2.py [--frames 200] [--format json] [--out FILE]
+    PYTHONPATH=src python3 scripts/wallclock_table2.py [--quick] [--format json] [--out FILE]
 """
 
 import argparse
@@ -32,6 +33,7 @@ from mkpolar.encoding import encode_message
 
 DECODERS = {"sc": SCDecoder, "fastssc": FastSSCDecoder}
 EBN0_DB = 2.0
+FRAMES, BATCH, BATCH_REPEATS = 200, 1024, 3
 FIELDS = ("N", "R", "ordering", "sc_p50_us", "sc_p90_us", "fastssc_p50_us", "fastssc_p90_us",
           "sc_batch_us_per_frame", "fastssc_batch_us_per_frame", "measured_pct", "reduction_pct",
           "host", "python", "numpy", "commit")
@@ -80,28 +82,25 @@ def environment():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--frames", type=int, default=200, help="one-frame decodes per decoder and code")
-    parser.add_argument("--batch", type=int, default=1024, help="frames per decode_batch call")
-    parser.add_argument("--batch-repeats", type=int, default=3)
+    parser.add_argument("--quick", action="store_true", help="a few frames only, to check the script runs")
     parser.add_argument("--out", help="output file (default stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
-    if min(args.frames, args.batch, args.batch_repeats) < 1:
-        parser.error("--frames, --batch and --batch-repeats must be at least 1")
+    frames, batch, repeats = (2, 2, 1) if args.quick else (FRAMES, BATCH, BATCH_REPEATS)
 
     env = environment()
     rows = []
     for index, spec in enumerate(table2_specs()):
         decoders = {name: make(spec) for name, make in DECODERS.items()}
-        llrs = noisy_frames(spec, max(args.frames, args.batch), EBN0_DB, seed=index)
+        llrs = noisy_frames(spec, max(frames, batch), EBN0_DB, seed=index)
         for decoder in decoders.values():
             decoder.decode(llrs[0])  # warm-up
-        single = one_frame_us(decoders, llrs[: args.frames])
-        frames32 = np.asfortranarray(llrs[: args.batch], dtype=np.float32)
+        single = one_frame_us(decoders, llrs[:frames])
+        frames32 = np.asfortranarray(llrs[:batch], dtype=np.float32)
         row = {key: value for key, value in latency_row(spec).items() if key in FIELDS}
         for name, times in single.items():
             row[f"{name}_p50_us"], row[f"{name}_p90_us"] = np.percentile(times, [50, 90]).tolist()
-            row[f"{name}_batch_us_per_frame"] = batch_us_per_frame(decoders[name], frames32, args.batch_repeats)
+            row[f"{name}_batch_us_per_frame"] = batch_us_per_frame(decoders[name], frames32, repeats)
         row["measured_pct"] = round(100 * (1 - row["fastssc_p50_us"] / row["sc_p50_us"]), 1)
         rows.append({**row, **env})
     emit_report(rows, FIELDS, args.fmt, args.out)

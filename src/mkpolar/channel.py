@@ -20,7 +20,9 @@ from functools import partial
 import numpy as np
 
 from .construction import CodeSpec, design_code, ebn0_db_to_linear
-# Unchecked, under the public name that perfbench/spans.py traces as encoding.expand.
+# NOT encoding.expand_message: the unchecked encoding._expand, bound to the name that
+# perfbench/spans.py traces as encoding.expand (the rename waits on ROADMAP item 1b; see the
+# FOUND note on channel.py in CHANGES.md). Callers import the checked one from encoding.
 from .encoding import _expand as expand_message
 from .fast_ssc import FastSSCDecoder
 from .kernels import MAX_CODE_LENGTH, _as_bits, _as_instance, _as_integer, stage_transform
@@ -130,7 +132,7 @@ def _simulate_chunk(decoder, start, count, spec, sigma2, seed, point_index):
         rows, taken = slice(lo - start, hi - start), slice(lo - first, hi - first)
         msgs[rows] = rng.integers(0, 2, size=(BLOCK_FRAMES, k), dtype=np.uint8)[taken]
         blocks.append((rng, rows, taken))
-    u = expand_message(msgs, spec)
+    u = expand_message(msgs, spec)  # unchecked: msgs are this chunk's own 0/1 draws
     x = stage_transform(u, spec.kernels)
     # Fortran order: frames on the last axis of memory, as the decode walk holds them.
     llrs = np.empty((count, n), dtype=np.float32, order="F")

@@ -276,11 +276,11 @@ class FastSSCDecoder(_TreeDecoder):
         self._leaves = {(n.depth, n.offset): n for n in self.schedule.leaves() if n.span > 1}
 
     def _decode_leaf(self, node, alpha):
-        """The blocks (beta, u) of a multi-bit leaf from its (span, batch) LLRs alpha, (span,)
-        or a list for one frame: lists for a list, else arrays of alpha's shape (read only)."""
+        """The blocks (beta, u) of a multi-bit leaf from its (span, batch) LLRs alpha, (span,) or a
+        list for one frame: lists for a list, else arrays of alpha's shape (read only) or Rate-0's 0."""
         cls = node.node_class
         if cls is NodeClass.RATE0:
-            zeros = [0] * len(alpha) if isinstance(alpha, list) else np.zeros(alpha.shape, dtype=np.uint8)
+            zeros = [0] * len(alpha) if isinstance(alpha, list) else 0
             return zeros, zeros
         if cls is NodeClass.RATE1:
             beta, u = decode_rate1(alpha, node.kv_sub)

@@ -136,9 +136,9 @@ class _TreeDecoder:
 
     Nodes are keyed by (depth, offset). A multi-bit node found in `_leaves` is decoded
     in one step by `self._decode_leaf(node, alpha)`, which a subclass that fills `_leaves`
-    must define: it returns the node's (beta, u) blocks in alpha's shape, (span, batch),
-    (span,) for one frame or a list under a list-walked node; every other node recurses
-    down to single-bit decisions, its LLR steps writing into the call's slab.
+    must define: it returns the node's (beta, u) blocks, or values broadcasting to them, in
+    alpha's shape, (span, batch), (span,) for one frame or a list under a list-walked node;
+    every other node recurses down to single-bit decisions, its LLR steps writing into the call's slab.
     One frame's nodes of span at most _LIST_SPANS of its float type recurse on
     Python lists (_decode_list), through the same steps and leaf decoder; a node
     of span 2 or 3 decides its single bits itself on floats and XORs them. A decode
